@@ -10,7 +10,9 @@ where ``c`` is the symmetry of ``L (x) L`` and ``t_c``, ``w_c`` are the two
 3-cycles on ``L (x) L (x) L`` built from it.  A Lie coalgebra is the formal
 dual: a cobracket ``Y : C -> C (x) C`` with the transposed axioms.  With a
 parity vector the symmetry carries Koszul signs and the same formulas define
-Lie superalgebras.
+Lie superalgebras.  The checks evaluate both identities on basis tuples
+(:mod:`hopflab.sparse`); a Lie coalgebra is checked as the Lie algebra of its
+transposed cobracket.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import InvalidStructureError, ShapeError
 from .fields import FieldSpec, same_field
 from .hopf import AlgebraSC, CoalgebraSC, check_algebra, check_coalgebra, default_names, require_valid, tensor_label
 from .linalg import Matrix, Parity, swap_map, tensor
+from . import sparse
 from .report import VerificationReport, matrix_axiom
 
 
@@ -67,72 +70,29 @@ class LieCoalgebraSC:
         return self.basis_names if self.basis_names is not None else default_names(self.dim)
 
 
-def _cycles(field: FieldSpec, dim: int, parity: Optional[Parity]) -> Tuple[Matrix, Matrix]:
-    """The two 3-cycles on the triple tensor power, with Koszul signs."""
-    ident = Matrix.identity(field, dim)
-    c = swap_map(field, dim, dim, parity, parity)
-    c_left = tensor(c, ident)
-    c_right = tensor(ident, c)
-    return c_left @ c_right, c_right @ c_left
+def _lie_axioms(rep, names, bracket, l, dual) -> None:
+    """Antisymmetry and Jacobi of the sparse ``bracket`` on the carrier of
+    ``l``; with ``dual`` the same axioms of the Lie coalgebra ``l`` whose
+    transposes they are, reported on its matrices."""
+    k = sparse.Kernel(l.field, l.dim, l.parity)
+    lab1, lab2, lab3 = (tensor_label(l.names, f) for f in (1, 2, 3))
+    flip = sparse.transposed if dual else (lambda side: side)
+    antisym, jacobi = names
+    matrix_axiom(rep, antisym, flip(k.antisymmetry(bracket)), sparse.zero,
+                 *((lab2, lab1) if dual else (lab1, lab2)))
+    matrix_axiom(rep, jacobi, flip(k.jacobi(bracket)), sparse.zero,
+                 *((lab3, lab1) if dual else (lab1, lab3)))
 
 
 def check_lie(l: LieAlgebraSC) -> VerificationReport:
     rep = VerificationReport("lie-algebra")
-    f, n = l.field, l.dim
-    ident2 = Matrix.identity(f, n * n)
-    ident3 = Matrix.identity(f, n ** 3)
-    ident = Matrix.identity(f, n)
-    c = swap_map(f, n, n, l.parity, l.parity)
-    lab1 = tensor_label(l.names, 1)
-    lab2 = tensor_label(l.names, 2)
-    lab3 = tensor_label(l.names, 3)
-    matrix_axiom(
-        rep,
-        "antisymmetry",
-        l.bracket @ (ident2 + c),
-        Matrix.zeros(f, n, n * n),
-        lab1,
-        lab2,
-    )
-    t_c, w_c = _cycles(f, n, l.parity)
-    matrix_axiom(
-        rep,
-        "jacobi",
-        l.bracket @ tensor(ident, l.bracket) @ (ident3 + t_c + w_c),
-        Matrix.zeros(f, n, n ** 3),
-        lab1,
-        lab3,
-    )
+    _lie_axioms(rep, ("antisymmetry", "jacobi"), sparse.columns(l.bracket), l, dual=False)
     return rep
 
 
 def check_lie_coalgebra(c: LieCoalgebraSC) -> VerificationReport:
     rep = VerificationReport("lie-coalgebra")
-    f, n = c.field, c.dim
-    ident2 = Matrix.identity(f, n * n)
-    ident3 = Matrix.identity(f, n ** 3)
-    ident = Matrix.identity(f, n)
-    sw = swap_map(f, n, n, c.parity, c.parity)
-    lab1 = tensor_label(c.names, 1)
-    lab2 = tensor_label(c.names, 2)
-    lab3 = tensor_label(c.names, 3)
-    matrix_axiom(
-        rep,
-        "co-antisymmetry",
-        (ident2 + sw) @ c.cobracket,
-        Matrix.zeros(f, n * n, n),
-        lab2,
-        lab1,
-    )
-    t_c, w_c = _cycles(f, n, c.parity)
-    matrix_axiom(
-        rep,
-        "co-jacobi",
-        (ident3 + t_c + w_c) @ tensor(ident, c.cobracket) @ c.cobracket,
-        Matrix.zeros(f, n ** 3, n),
-        lab3,
-        lab1,
-    )
+    _lie_axioms(rep, ("co-antisymmetry", "co-jacobi"), sparse.rows(c.cobracket), c, dual=True)
     return rep
 
 

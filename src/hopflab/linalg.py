@@ -200,15 +200,6 @@ def vstack(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(f, a.rows + b.rows, a.cols, a.data + b.data)
 
 
-def stack_rows(field: FieldSpec, mats: Sequence[Matrix], cols: int) -> Matrix:
-    data = []
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("stack_rows needs equal column counts")
-        data.extend(m.data)
-    return Matrix(field, len(data), cols, tuple(data))
-
-
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with flat index (i, j) -> i * dim_b + j."""
     f = same_field(a.field, b.field)

@@ -87,10 +87,22 @@ def mult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
     return out
 
 
+def _triple(t, bounds) -> tuple:
+    """``[i, j, k, coeff]`` with each index checked against its dimension."""
+    if len(t) != 4:
+        raise ValueError(f"triple {t!r} does not have four entries")
+    idx = tuple(int(x) for x in t[:3])
+    for x, bound in zip(idx, bounds):
+        if not 0 <= x < bound:
+            raise ValueError(f"triple {list(t)} has index {x} outside range({bound})")
+    return (*idx, t[3])
+
+
 def mult_from_triples(field: FieldSpec, rows: int, dim_l: int, dim_r: int, triples) -> Matrix:
     grid = [[field.zero] * (dim_l * dim_r) for _ in range(rows)]
-    for i, j, k, c in triples:
-        grid[int(k)][int(i) * dim_r + int(j)] = field.scalar_from_json(c)
+    for t in triples:
+        i, j, k, c = _triple(t, (dim_l, dim_r, rows))
+        grid[k][i * dim_r + j] = field.scalar_from_json(c)
     return Matrix(field, rows, dim_l * dim_r, tuple(tuple(r) for r in grid))
 
 
@@ -110,8 +122,9 @@ def comult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
 
 def comult_from_triples(field: FieldSpec, cols: int, dim_l: int, dim_r: int, triples) -> Matrix:
     grid = [[field.zero] * cols for _ in range(dim_l * dim_r)]
-    for i, j, k, c in triples:
-        grid[int(j) * dim_r + int(k)][int(i)] = field.scalar_from_json(c)
+    for t in triples:
+        i, j, k, c = _triple(t, (cols, dim_l, dim_r))
+        grid[j * dim_r + k][i] = field.scalar_from_json(c)
     return Matrix(field, dim_l * dim_r, cols, tuple(tuple(r) for r in grid))
 
 
@@ -300,6 +313,8 @@ def from_jsonable(data: dict, kind: Optional[str] = None):
 def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
     group = group_from_json(data["group"])
     dims = [int(c["dim"]) for c in data["components"]]
+    if len(dims) != group.order:
+        raise ValueError(f"{len(dims)} components for a group of order {group.order}")
     antipodes = tuple(
         matrix_from_json(field, data["antipodes"][str(g)]) for g in group.elements()
     )

@@ -1,0 +1,259 @@
+"""Sparse evaluation of the structure-constant axioms on basis tuples.
+
+A structure map is read into its nonzero columns, each a sparse vector
+``{row: coefficient}``: column ``i * n + j`` of a multiplication or bracket
+holds ``e_i e_j``, column ``i`` of a comultiplication holds ``Delta(e_i)``
+with ``e_a (x) e_b`` at ``a * n + b``.  Each axiom method of :class:`Kernel`
+returns a side as a zero-argument callable, so that
+:func:`hopflab.report.matrix_axiom` times its evaluation.  A side yields the
+nonzero entries of the dense matrix the axiom equates, keyed by their
+``(row, col)`` position under the Kronecker index convention of
+:mod:`hopflab.linalg`.  Every entry comes from one basis tuple, so no
+Kronecker product or other dense intermediate is built and the cost follows
+the number of nonzero structure constants.
+
+Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
+by running the algebra axioms on :func:`rows` of its comultiplication (the
+columns of the transposed matrix) and swapping the keys back with
+:func:`transposed`.
+
+Scalars are plain Python numbers during evaluation: integral rationals are
+read as ``int`` (equal values, far cheaper arithmetic) and prime-field
+residues are reduced once per finished entry.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+
+from .fields import FieldSpec, Scalar
+from .linalg import Matrix, Parity
+
+Vector = Dict[int, Scalar]  # index -> coefficient
+Columns = List[Vector]  # one sparse vector per matrix column
+Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
+Side = Callable[[], Entries]
+
+
+def _plain(x: Scalar) -> Scalar:
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def columns(m: Matrix) -> Columns:
+    """The nonzero entries of each column of ``m``."""
+    cols: Columns = [{} for _ in range(m.cols)]
+    for r, row in enumerate(m.data):
+        for c, x in enumerate(row):
+            if x != 0:
+                cols[c][r] = _plain(x)
+    return cols
+
+
+def rows(m: Matrix) -> Columns:
+    """The nonzero entries of each row of ``m``: the columns of its transpose."""
+    return [{c: _plain(x) for c, x in enumerate(row) if x != 0} for row in m.data]
+
+
+def vector(values: Sequence[Scalar]) -> Vector:
+    return {i: _plain(x) for i, x in enumerate(values) if x != 0}
+
+
+def transposed(side: Side) -> Side:
+    """The same side for the transposed maps: every key (row, col) swapped."""
+    return lambda: {(c, r): v for (r, c), v in side().items()}
+
+
+def zero() -> Entries:
+    """The zero matrix, as a side."""
+    return {}
+
+
+def _column(v: Vector) -> Entries:
+    return {(r, 0): x for r, x in v.items()}
+
+
+def _row(v: Vector) -> Entries:
+    return {(0, c): x for c, x in v.items()}
+
+
+class Kernel:
+    """Sparse arithmetic on one carrier of dimension ``n`` over one field."""
+
+    def __init__(self, field: FieldSpec, n: int, parity: Optional[Parity] = None) -> None:
+        self.p = field.characteristic
+        self.n = n
+        self.odd = parity if parity is not None else (0,) * n
+
+    def sign(self, a: int, b: int) -> int:
+        """Koszul sign of moving e_a past e_b."""
+        return -1 if self.odd[a] and self.odd[b] else 1
+
+    def finish(self, acc: Dict[Hashable, Scalar]) -> dict:
+        """Reduce accumulated coefficients into the field and drop zeros."""
+        p = self.p
+        if p:
+            return {k: r for k, v in acc.items() if (r := v % p)}
+        return {k: v for k, v in acc.items() if v != 0}
+
+    def product(self, m: Columns, x: Vector, y: Vector) -> Vector:
+        """The bilinear map with columns ``m`` applied to ``x (x) y``."""
+        n, acc = self.n, {}
+        for i, a in x.items():
+            for j, b in y.items():
+                ab = a * b
+                for k, c in m[i * n + j].items():
+                    acc[k] = acc.get(k, 0) + ab * c
+        return self.finish(acc)
+
+    def apply(self, f: Columns, x: Vector) -> Vector:
+        """The linear map with columns ``f`` applied to ``x``."""
+        acc: Vector = {}
+        for i, a in x.items():
+            for k, c in f[i].items():
+                acc[k] = acc.get(k, 0) + a * c
+        return self.finish(acc)
+
+    def outer(self, x: Vector, y: Vector) -> Vector:
+        """``x (x) y`` in flat coordinates."""
+        n = self.n
+        return self.finish({a * n + b: s * t for a, s in x.items() for b, t in y.items()})
+
+    def identity(self) -> Entries:
+        """The identity matrix, as a side."""
+        return {(i, i): 1 for i in range(self.n)}
+
+    def _by_column(self, column: Callable[[int], Vector], count: int) -> Entries:
+        return {(k, c): v for c in range(count) for k, v in column(c).items()}
+
+    # -- algebra axioms ----------------------------------------------------------
+
+    def associativity(self, m: Columns) -> Tuple[Side, Side]:
+        """m (m (x) id) against m (id (x) m); column (i, j, l) is e_i e_j e_l."""
+        n = self.n
+
+        return (
+            lambda: self._by_column(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3),
+            lambda: self._by_column(
+                lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3
+            ),
+        )
+
+    def unit_left(self, m: Columns, unit: Vector) -> Side:
+        """m (u (x) id): column j is u e_j."""
+        return lambda: self._by_column(lambda j: self.product(m, unit, {j: 1}), self.n)
+
+    def unit_right(self, m: Columns, unit: Vector) -> Side:
+        """m (id (x) u): column i is e_i u."""
+        return lambda: self._by_column(lambda i: self.product(m, {i: 1}, unit), self.n)
+
+    # -- bialgebra and Hopf axioms -----------------------------------------------
+
+    def comult_mult(self, m: Columns, d: Columns) -> Tuple[Side, Side]:
+        """Delta m against (m (x) m)(id (x) c (x) id)(Delta (x) Delta); column (i, j).
+
+        The right side multiplies Delta(e_i) by Delta(e_j) in H (x) H, where
+        (x (x) y)(p (x) q) = sign(y, p) xp (x) yq.
+        """
+        n = self.n
+
+        def rhs_column(ij: int) -> Vector:
+            i, j = divmod(ij, n)
+            acc: Vector = {}
+            for xy, a in d[i].items():
+                x, y = divmod(xy, n)
+                for pq, b in d[j].items():
+                    p, q = divmod(pq, n)
+                    ab = self.sign(y, p) * a * b
+                    yq = m[y * n + q]
+                    for s, c in m[x * n + p].items():
+                        for t, e in yq.items():
+                            acc[s * n + t] = acc.get(s * n + t, 0) + ab * c * e
+            return self.finish(acc)
+
+        return (
+            lambda: self._by_column(lambda ij: self.apply(d, m[ij]), n * n),
+            lambda: self._by_column(rhs_column, n * n),
+        )
+
+    def comult_unit(self, d: Columns, unit: Vector) -> Tuple[Side, Side]:
+        """Delta u against u (x) u."""
+        return lambda: _column(self.apply(d, unit)), lambda: _column(self.outer(unit, unit))
+
+    def counit_mult(self, m: Columns, counit: Vector) -> Tuple[Side, Side]:
+        """e m against e (x) e."""
+        return (
+            lambda: _row(self.finish(
+                {ij: sum(counit.get(k, 0) * c for k, c in col.items()) for ij, col in enumerate(m)})),
+            lambda: _row(self.outer(counit, counit)),
+        )
+
+    def counit_unit(self, unit: Vector, counit: Vector) -> Tuple[Side, Side]:
+        """e u against 1."""
+        return (
+            lambda: _column(self.finish({0: sum(x * counit.get(k, 0) for k, x in unit.items())})),
+            lambda: {(0, 0): 1},
+        )
+
+    def antipode(self, m: Columns, d: Columns, s: Columns, left: bool) -> Side:
+        """m (S (x) id) Delta when ``left``, else m (id (x) S) Delta; column i."""
+        n = self.n
+
+        def column(i: int) -> Vector:
+            acc: Vector = {}
+            for xy, c in d[i].items():
+                x, y = divmod(xy, n)
+                term = self.product(m, s[x], {y: 1}) if left else self.product(m, {x: 1}, s[y])
+                for k, v in term.items():
+                    acc[k] = acc.get(k, 0) + c * v
+            return self.finish(acc)
+
+        return lambda: self._by_column(column, n)
+
+    def unit_counit(self, unit: Vector, counit: Vector) -> Side:
+        """u e, the target of both antipode axioms."""
+        return lambda: self.finish(
+            {(a, i): x * y for a, x in unit.items() for i, y in counit.items()})
+
+    # -- Lie axioms --------------------------------------------------------------
+
+    def antisymmetry(self, b: Columns) -> Side:
+        """[-,-](id + c): column (i, j) is [e_i, e_j] + sign(i, j) [e_j, e_i]."""
+        n = self.n
+
+        def column(ij: int) -> Vector:
+            i, j = divmod(ij, n)
+            acc = dict(b[ij])
+            for k, v in b[j * n + i].items():
+                acc[k] = acc.get(k, 0) + self.sign(i, j) * v
+            return self.finish(acc)
+
+        return lambda: self._by_column(column, n * n)
+
+    def jacobi(self, b: Columns) -> Side:
+        """[-,-](id (x) [-,-])(id + t_c + w_c); column (i, j, l).
+
+        The column is the signed sum over the three cyclic orders
+        [e_i,[e_j,e_l]] + sign(i,l) sign(j,l) [e_l,[e_i,e_j]]
+        + sign(i,j) sign(i,l) [e_j,[e_l,e_i]].
+        """
+        n = self.n
+
+        def lhs() -> Entries:
+            nested = [self.product(b, {c // (n * n): 1}, b[c % (n * n)]) for c in range(n ** 3)]
+
+            def column(c: int) -> Vector:
+                i, jl = divmod(c, n * n)
+                j, l = divmod(jl, n)
+                acc = dict(nested[c])
+                for sg, term in (
+                    (self.sign(i, l) * self.sign(j, l), nested[(l * n + i) * n + j]),
+                    (self.sign(i, j) * self.sign(i, l), nested[(j * n + l) * n + i]),
+                ):
+                    for k, v in term.items():
+                        acc[k] = acc.get(k, 0) + sg * v
+                return self.finish(acc)
+
+            return self._by_column(column, n ** 3)
+
+        return lhs

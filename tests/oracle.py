@@ -243,3 +243,176 @@ def oracle_g_indecomposables(hga, total_hopf):
             imgs.append(data["pi"](vec))
         out.append(basis_rows(imgs, p))
     return out, data
+
+
+# -- axiom checks -----------------------------------------------------------------
+
+
+def _plain(x):
+    """Integral rationals as int: equal values, much cheaper arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _coeffs3(mat, n, comult):
+    """Structure constants as T[i][j][k]: for a multiplication, e_i e_j has
+    T[i][j][k] on e_k; for a comultiplication, Delta(e_i) has T[i][j][k] on
+    e_j (x) e_k."""
+    rows = [[_plain(x) for x in r] for r in mat.rows_list()]
+    if comult:
+        return [[[rows[j * n + k][i] for k in range(n)] for j in range(n)] for i in range(n)]
+    return [[[rows[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
+
+
+def _first_difference(lhs, rhs, p, row_factors, col_factors, names):
+    """(passed, witness) for two dense grids, first differing entry in
+    row-major order, positions decoded into basis labels when factors > 0."""
+    n = len(names)
+
+    def label(idx, factors):
+        if factors == 0:
+            return idx
+        parts = []
+        for _ in range(factors):
+            idx, r = divmod(idx, n)
+            parts.append(names[r])
+        return "(x)".join(reversed(parts))
+
+    for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+        for c, (a, b) in enumerate(zip(lrow, rrow)):
+            a, b = _norm(a, p), _norm(b, p)
+            if a != b:
+                return False, {
+                    "row": label(r, row_factors),
+                    "col": label(c, col_factors),
+                    "lhs": str(a),
+                    "rhs": str(b),
+                }
+    return True, None
+
+
+def _grid(nrows, ncols, entry):
+    return [[entry(r, c) for c in range(ncols)] for r in range(nrows)]
+
+
+def oracle_axiom_check(obj):
+    """(name, passed, witness) for every axiom of a Hopf algebra, Lie algebra
+    or Lie coalgebra, in the library's report order.
+
+    Each side of each axiom is built as a dense grid, every entry summed by
+    explicit loops over the structure constants; the witness is the first
+    differing entry in row-major order, labelled like the library's reports.
+    """
+    n = obj.dim
+    p = obj.field.characteristic
+    names = list(obj.basis_names) if obj.basis_names is not None else [f"e{i}" for i in range(n)]
+    odd = list(obj.parity) if obj.parity is not None else [0] * n
+    rng = range(n)
+
+    def sg(a, b):
+        return -1 if odd[a] and odd[b] else 1
+
+    def trip(c):
+        return c // (n * n), c // n % n, c % n
+
+    out = []
+
+    def axiom(name, nrows, ncols, lhs, rhs, row_factors=0, col_factors=0):
+        passed, witness = _first_difference(
+            _grid(nrows, ncols, lhs), _grid(nrows, ncols, rhs), p, row_factors, col_factors, names
+        )
+        out.append((name, passed, witness))
+
+    if hasattr(obj, "bracket"):
+        B = _coeffs3(obj.bracket, n, comult=False)
+        axiom("antisymmetry", n, n * n,
+              lambda k, c: B[c // n][c % n][k] + sg(c // n, c % n) * B[c % n][c // n][k],
+              lambda k, c: 0, 1, 2)
+
+        def jacobi(k, c):
+            i, j, l = trip(c)
+            total = 0
+            for r in rng:
+                total += B[j][l][r] * B[i][r][k]
+                total += sg(i, l) * sg(j, l) * B[i][j][r] * B[l][r][k]
+                total += sg(i, j) * sg(i, l) * B[l][i][r] * B[j][r][k]
+            return total
+
+        axiom("jacobi", n, n ** 3, jacobi, lambda k, c: 0, 1, 3)
+        return out
+
+    if hasattr(obj, "cobracket"):
+        C = _coeffs3(obj.cobracket, n, comult=True)
+        axiom("co-antisymmetry", n * n, n,
+              lambda ab, i: C[i][ab // n][ab % n] + sg(ab // n, ab % n) * C[i][ab % n][ab // n],
+              lambda ab, i: 0, 2, 1)
+
+        def twice(i, a, b, c):  # (id (x) delta) delta (e_i) at e_a (x) e_b (x) e_c
+            return sum(C[i][a][r] * C[r][b][c] for r in rng if C[i][a][r])
+
+        def cojacobi(abc, i):
+            a, b, c = trip(abc)
+            return (twice(i, a, b, c) + sg(a, b) * sg(a, c) * twice(i, b, c, a)
+                    + sg(c, a) * sg(c, b) * twice(i, c, a, b))
+
+        axiom("co-jacobi", n ** 3, n, cojacobi, lambda abc, i: 0, 3, 1)
+        return out
+
+    M = _coeffs3(obj.mult, n, comult=False)
+    D = _coeffs3(obj.comult, n, comult=True)
+    u = [_plain(r[0]) for r in obj.unit.rows_list()]
+    eps = [_plain(x) for x in obj.counit.rows_list()[0]]
+    S = [[_plain(x) for x in r] for r in obj.antipode.rows_list()]  # S(e_i) has S[k][i] on e_k
+    delta = lambda k, c: 1 if k == c else 0  # noqa: E731
+
+    axiom("associativity", n, n ** 3,
+          lambda k, c: sum(M[trip(c)[0]][trip(c)[1]][r] * M[r][trip(c)[2]][k] for r in rng),
+          lambda k, c: sum(M[trip(c)[1]][trip(c)[2]][r] * M[trip(c)[0]][r][k] for r in rng), 1, 3)
+    axiom("unit.left", n, n, lambda k, j: sum(u[r] * M[r][j][k] for r in rng), delta, 1, 1)
+    axiom("unit.right", n, n, lambda k, i: sum(u[r] * M[i][r][k] for r in rng), delta, 1, 1)
+    axiom("coassociativity", n ** 3, n,
+          lambda abc, i: sum(D[i][r][trip(abc)[2]] * D[r][trip(abc)[0]][trip(abc)[1]] for r in rng),
+          lambda abc, i: sum(D[i][trip(abc)[0]][r] * D[r][trip(abc)[1]][trip(abc)[2]] for r in rng),
+          3, 1)
+    axiom("counit.left", n, n, lambda b, i: sum(eps[a] * D[i][a][b] for a in rng), delta, 1, 1)
+    axiom("counit.right", n, n, lambda a, i: sum(eps[b] * D[i][a][b] for b in rng), delta, 1, 1)
+
+    def braided_product(ab, ij):
+        a, b = divmod(ab, n)
+        i, j = divmod(ij, n)
+        total = 0
+        for x in rng:
+            for y in rng:
+                if D[i][x][y] == 0:
+                    continue
+                for q in rng:
+                    for s in rng:
+                        if D[j][q][s] != 0:
+                            total += D[i][x][y] * D[j][q][s] * sg(y, q) * M[x][q][a] * M[y][s][b]
+        return total
+
+    axiom("compat.comult_mult", n * n, n * n,
+          lambda ab, ij: sum(M[ij // n][ij % n][r] * D[r][ab // n][ab % n] for r in rng),
+          braided_product, 2, 2)
+    axiom("compat.comult_unit", n * n, 1,
+          lambda ab, _: sum(u[r] * D[r][ab // n][ab % n] for r in rng),
+          lambda ab, _: u[ab // n] * u[ab % n], 2, 0)
+    axiom("compat.counit_mult", 1, n * n,
+          lambda _, ij: sum(M[ij // n][ij % n][r] * eps[r] for r in rng),
+          lambda _, ij: eps[ij // n] * eps[ij % n], 0, 2)
+    axiom("compat.counit_unit", 1, 1, lambda *_: sum(u[r] * eps[r] for r in rng), lambda *_: 1)
+
+    def antipode(k, i, left):
+        total = 0
+        for x in rng:
+            for y in rng:
+                if D[i][x][y] != 0:
+                    for r in rng:
+                        if left:
+                            total += D[i][x][y] * S[r][x] * M[r][y][k]
+                        else:
+                            total += D[i][x][y] * S[r][y] * M[x][r][k]
+        return total
+
+    axiom("antipode.left", n, n, lambda k, i: antipode(k, i, True), lambda k, i: u[k] * eps[i], 1, 1)
+    axiom("antipode.right", n, n, lambda k, i: antipode(k, i, False), lambda k, i: u[k] * eps[i], 1, 1)
+    return out

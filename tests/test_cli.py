@@ -6,7 +6,14 @@ from hopflab.cli import main
 from hopflab.fields import FieldSpec
 from hopflab.serialize import dumps, load
 from hopflab.turaev import cyclic_group
-from hopflab.zoo import diagonal_group_algebra, group_algebra, sweedler4, truncated_poly
+from hopflab.lie import commutator_lie
+from hopflab.zoo import (
+    diagonal_group_algebra,
+    group_algebra,
+    matrix_algebra,
+    sweedler4,
+    truncated_poly,
+)
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -53,6 +60,55 @@ class TestCheck:
         blob = json.loads(capsys.readouterr().out)
         assert blob["ok"] is True
         assert {c["name"] for c in blob["checks"]} >= {"associativity", "antipode.left"}
+
+
+class TestOutOfRangeIndices:
+    """Indices outside the declared dimensions are bad input: exit 2, an
+    ``error:`` line on stderr, nothing on stdout."""
+
+    def _rejected(self, tmp_path, capsys, data, command="check"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("key", ["mult", "comult"])
+    def test_triple_index_equal_to_dim(self, tmp_path, capsys, key):
+        data = json.loads(dumps(group_algebra(cyclic_group(3), Q)))
+        data[key][0][2] = 3
+        self._rejected(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("key", ["mult", "comult"])
+    def test_negative_triple_index(self, tmp_path, capsys, key):
+        data = json.loads(dumps(group_algebra(cyclic_group(3), Q)))
+        data[key][0][2] = -1
+        self._rejected(tmp_path, capsys, data)
+        self._rejected(tmp_path, capsys, data, "michaelis")
+
+    def test_lie_bracket_index_equal_to_dim(self, tmp_path, capsys):
+        data = json.loads(dumps(commutator_lie(matrix_algebra(2, Q))))
+        data["bracket"][0][0] = 4
+        self._rejected(tmp_path, capsys, data)
+
+    def test_graded_triple_index_equal_to_dim(self, tmp_path, capsys):
+        data = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        data["graded_mult"]["1,2"][0][1] = 1
+        self._rejected(tmp_path, capsys, data)
+
+    def test_graded_file_missing_a_component(self, tmp_path, capsys):
+        data = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        data["components"].pop()
+        self._rejected(tmp_path, capsys, data)
+
+    def test_group_table_entry_equal_to_order(self, tmp_path, capsys):
+        data = json.loads(dumps(cyclic_group(3)))
+        data["table"][1][2] = 3
+        self._rejected(tmp_path, capsys, data)
+        graded = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        graded["group"]["table"][1][2] = 3
+        self._rejected(tmp_path, capsys, graded, "group-michaelis")
 
 
 class TestDualDagger:

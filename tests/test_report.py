@@ -1,0 +1,43 @@
+import time
+
+from hopflab.fields import FieldSpec
+from hopflab.linalg import Matrix
+from hopflab.report import VerificationReport, matrix_axiom
+
+Q = FieldSpec.rationals()
+
+
+def test_elapsed_covers_evaluating_both_sides():
+    def slow_identity():
+        time.sleep(0.02)
+        return Matrix.identity(Q, 2)
+
+    rep = VerificationReport("demo")
+    matrix_axiom(rep, "slow", slow_identity, slow_identity)
+    assert rep.ok
+    assert rep.checks[0].elapsed_s >= 0.04
+
+
+def test_witness_is_first_difference_in_row_major_order():
+    rep = VerificationReport("demo")
+    lhs = {(0, 2): 1, (1, 0): 5, (1, 1): 3}
+    rhs = {(0, 2): 1, (1, 1): 4, (2, 0): 7}
+    matrix_axiom(rep, "sparse", lambda: lhs, lambda: rhs, str, lambda j: f"c{j}")
+    assert rep.checks[0].witness == {"row": "1", "col": "c0", "lhs": "5", "rhs": "0"}
+
+
+def test_matrix_and_entry_sides_compare_equal():
+    rep = VerificationReport("demo")
+    m = Matrix.from_rows(Q, [[0, "1/2"], [3, 0]])
+    matrix_axiom(rep, "mixed", lambda: m, lambda: {(0, 1): Q.coerce("1/2"), (1, 0): 3})
+    assert rep.ok
+
+
+def test_shape_mismatch_witness():
+    rep = VerificationReport("demo")
+    matrix_axiom(rep, "shapes", lambda: Matrix.zeros(Q, 1, 2), lambda: Matrix.zeros(Q, 2, 1))
+    assert rep.checks[0].witness == {
+        "reason": "shape mismatch",
+        "lhs_shape": (1, 2),
+        "rhs_shape": (2, 1),
+    }
