@@ -47,8 +47,7 @@ print()
 
 print("=== Degreewise primitives of the dagger ===")
 hgc = dagger(hga)
-for g in range(3):
-    p = g_primitives(hgc, g)
+for g, p in enumerate(g_primitives(hgc)):
     fam = [list(r) for r in p.family_space.basis.data]
     print(f"  degree {hga.group.element_names[g]}: dim {p.space.dim}, joint families {fam}")
 print("  (the family (0, 1, 2) is the additive character h -> h of Z/3)")

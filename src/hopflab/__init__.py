@@ -47,13 +47,10 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     Subspace,
-    membership,
     nullspace,
     quotient,
     rank,
     rref,
-    subspace_intersection,
-    subspace_sum,
     swap_map,
     tensor,
 )

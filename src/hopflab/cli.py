@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import InvalidStructureError, ShapeError
@@ -220,7 +219,7 @@ def cmd_gprimitives(args) -> int:
     h = _load(args.path, "turaev-coalg")
     g = _resolve_degree(h.group, args.g)
     try:
-        p = g_primitives(h, g)
+        p = g_primitives(h)[g]
     except InvalidStructureError as exc:
         print(exc, file=sys.stderr)
         return MATH_FAIL
@@ -395,8 +394,7 @@ def cmd_verify_suite(args) -> int:
         except (CliInputError, KeyError) as exc:
             return (INPUT_ERROR, f"{path}: input error: {exc}")
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(one, args.paths))
+    results = [one(path) for path in args.paths]
     for _, line in results:
         print(line)
     codes = [c for c, _ in results]
@@ -456,10 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
 
-    p = add("verify-suite", cmd_verify_suite, help="check several files, possibly concurrently")
+    p = add("verify-suite", cmd_verify_suite, help="check several files, one after another")
     p.add_argument("paths", nargs="+")
     p.add_argument("--kind", choices=sorted(CHECKERS), default=None)
-    p.add_argument("--jobs", type=int, default=4)
 
     return parser
 

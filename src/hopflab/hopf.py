@@ -187,12 +187,11 @@ def _unital_associative(rep, names, mult, unit, a, dual) -> None:
     k = sparse.Kernel(a.field, a.dim)
     lab1 = tensor_label(a.basis_names, 1)
     lab3 = tensor_label(a.basis_names, 3)
-    flip = sparse.transposed if dual else (lambda side: side)
     assoc, left, right = names
-    lhs, rhs = k.associativity(mult)
-    matrix_axiom(rep, assoc, flip(lhs), flip(rhs), *((lab3, lab1) if dual else (lab1, lab3)))
-    matrix_axiom(rep, left, flip(k.unit_left(mult, unit)), k.identity, lab1, lab1)
-    matrix_axiom(rep, right, flip(k.unit_right(mult, unit)), k.identity, lab1, lab1)
+    matrix_axiom(rep, assoc, *k.associativity(mult), *((lab3, lab1) if dual else (lab1, lab3)),
+                 transposed=dual)
+    matrix_axiom(rep, left, k.unit_left(mult, unit), k.identity, lab1, lab1, transposed=dual)
+    matrix_axiom(rep, right, k.unit_right(mult, unit), k.identity, lab1, lab1, transposed=dual)
 
 
 def check_algebra(a: AlgebraSC) -> VerificationReport:

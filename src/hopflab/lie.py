@@ -76,12 +76,11 @@ def _lie_axioms(rep, names, bracket, l, dual) -> None:
     transposes they are, reported on its matrices."""
     k = sparse.Kernel(l.field, l.dim, l.parity)
     lab1, lab2, lab3 = (tensor_label(l.names, f) for f in (1, 2, 3))
-    flip = sparse.transposed if dual else (lambda side: side)
     antisym, jacobi = names
-    matrix_axiom(rep, antisym, flip(k.antisymmetry(bracket)), sparse.zero,
-                 *((lab2, lab1) if dual else (lab1, lab2)))
-    matrix_axiom(rep, jacobi, flip(k.jacobi(bracket)), sparse.zero,
-                 *((lab3, lab1) if dual else (lab1, lab3)))
+    matrix_axiom(rep, antisym, k.antisymmetry(bracket), sparse.zero,
+                 *((lab2, lab1) if dual else (lab1, lab2)), transposed=dual)
+    matrix_axiom(rep, jacobi, k.jacobi(bracket), sparse.zero,
+                 *((lab3, lab1) if dual else (lab1, lab3)), transposed=dual)
 
 
 def check_lie(l: LieAlgebraSC) -> VerificationReport:

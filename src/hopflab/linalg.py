@@ -463,18 +463,6 @@ class Subspace:
         same_field(self.field, other.field)
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum_with(b)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def membership(s: Subspace, vec: Sequence) -> bool:
-    return s.contains(vec)
-
-
 # -- quotient spaces ---------------------------------------------------------
 
 

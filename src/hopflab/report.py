@@ -80,28 +80,35 @@ def matrix_axiom(
     rhs: Callable[[], object],
     row_label: Optional[Callable[[int], object]] = None,
     col_label: Optional[Callable[[int], object]] = None,
+    transposed: bool = False,
 ) -> None:
     """Record whether two matrices agree entrywise, with a decoded witness if not.
 
     ``lhs`` and ``rhs`` take no arguments and return a :class:`Matrix` or the
     nonzero entries of one as a dict keyed by ``(row, col)``; the recorded
     time covers evaluating both and comparing them.  The witness is the first
-    differing entry in row-major order.
+    differing entry in row-major order.  With ``transposed`` the sides are the
+    transposes of the matrices the axiom is about, as when a dual axiom is
+    evaluated on transposed maps: the witness is then the first differing
+    entry in row-major order of those matrices, and positions, labels and
+    shapes refer to them.
     """
+    orient = (lambda pair: pair[::-1]) if transposed else (lambda pair: pair)
     start = time.perf_counter()
     left, right = lhs(), rhs()
     witness = None
     if isinstance(left, Matrix) and isinstance(right, Matrix) and left.shape != right.shape:
-        witness = {"reason": "shape mismatch", "lhs_shape": left.shape, "rhs_shape": right.shape}
+        witness = {"reason": "shape mismatch", "lhs_shape": orient(left.shape),
+                   "rhs_shape": orient(right.shape)}
     elif left != right:
         left, right = _entries(left), _entries(right)
-        diff = [k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
+        diff = [orient(k) for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
         if diff:
             i, j = min(diff)
             witness = {
                 "row": row_label(i) if row_label else i,
                 "col": col_label(j) if col_label else j,
-                "lhs": str(left.get((i, j), 0)),
-                "rhs": str(right.get((i, j), 0)),
+                "lhs": str(left.get(orient((i, j)), 0)),
+                "rhs": str(right.get(orient((i, j)), 0)),
             }
     report.add(AxiomCheck(name, witness is None, witness, time.perf_counter() - start))

@@ -14,8 +14,8 @@ the number of nonzero structure constants.
 
 Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
 by running the algebra axioms on :func:`rows` of its comultiplication (the
-columns of the transposed matrix) and swapping the keys back with
-:func:`transposed`.
+columns of the transposed matrix), and ``matrix_axiom(..., transposed=True)``
+reports the witness on the coalgebra's matrices.
 
 Scalars are plain Python numbers during evaluation: integral rationals are
 read as ``int`` (equal values, far cheaper arithmetic) and prime-field
@@ -57,11 +57,6 @@ def rows(m: Matrix) -> Columns:
 
 def vector(values: Sequence[Scalar]) -> Vector:
     return {i: _plain(x) for i, x in enumerate(values) if x != 0}
-
-
-def transposed(side: Side) -> Side:
-    """The same side for the transposed maps: every key (row, col) swapped."""
-    return lambda: {(c, r): v for (r, c), v in side().items()}
 
 
 def zero() -> Entries:

@@ -39,6 +39,7 @@ from .lie import (
     LieCoalgebraSC,
     check_lie,
     check_lie_coalgebra,
+    commutator_lie,
     dual_lie,
     lie_morphism_check,
 )
@@ -49,7 +50,6 @@ from .linalg import (
     nullspace,
     rank,
     solve_particular,
-    swap_map,
     tensor,
 )
 from .primitives import IndecomposableSpace, indecomposables, primitives
@@ -70,18 +70,15 @@ class FiniteGroup:
     element_names: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        n = self.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise ShapeError("multiplication table must be order x order")
-        if any(not 0 <= x < n for r in self.table for x in r):
-            raise ShapeError(f"multiplication table entries must lie in range({n})")
-        if len(self.element_names) != n or len(self.inverse) != n:
+        _check_table(self.order, self.table)
+        if len(self.element_names) != self.order or len(self.inverse) != self.order:
             raise ShapeError("names/inverses must list one entry per element")
 
     @staticmethod
     def from_table(table, names=None) -> "FiniteGroup":
         tbl = tuple(tuple(int(x) for x in row) for row in table)
         n = len(tbl)
+        _check_table(n, tbl)
         names = tuple(names) if names is not None else tuple(f"g{i}" for i in range(n))
         identity = None
         for e in range(n):
@@ -109,6 +106,13 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+
+def _check_table(n: int, table) -> None:
+    if len(table) != n or any(len(r) != n for r in table):
+        raise ShapeError("multiplication table must be order x order")
+    if any(not 0 <= x < n for r in table for x in r):
+        raise ShapeError(f"multiplication table entries must lie in range({n})")
 
 
 def check_group(g: FiniteGroup) -> VerificationReport:
@@ -173,8 +177,50 @@ def trivial_group() -> FiniteGroup:
 # -- graded Hopf structures ----------------------------------------------------
 
 
+class _GradedFamily:
+    """What the two graded classes share.  A group-coalgebra's structure maps
+    have the transposed shapes of a group-algebra's (``_DUAL``), so one
+    validator serves both; ``_MAPS`` names the graded maps and the (co)unit."""
+
+    _MAPS: Tuple[str, str]
+    _DUAL: bool
+
+    def __post_init__(self) -> None:
+        grp = self.group
+        if grp.identity is None or any(i is None for i in grp.inverse):
+            raise InvalidStructureError("group table is not a group")
+        dims = self.dims
+        if len(self.components) != grp.order or len(self.antipodes) != grp.order:
+            raise ShapeError("one component and one antipode per group element")
+        same_field(self.field, *(c.field for c in self.components))
+        if any(c.parity is not None for c in self.components):
+            raise ShapeError("graded structures are plain (no component parities)")
+
+        def need(what: str, m: Matrix, shape: Tuple[int, int]) -> None:
+            shape = shape[::-1] if self._DUAL else shape
+            if m.shape != shape:
+                raise ShapeError(f"{what} must be {shape}, got {m.shape}")
+
+        graded, point = self._MAPS
+        for g in grp.elements():
+            for h in grp.elements():
+                need(f"{graded}[{g}][{h}]", getattr(self, graded)[g][h],
+                     (dims[grp.mul(g, h)], dims[g] * dims[h]))
+        need(point, getattr(self, point), (dims[grp.identity], 1))
+        for g in grp.elements():
+            need(f"antipode[{g}]", self.antipodes[g], (dims[grp.inv(g)], dims[g]))
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.components[0].field
+
+    @property
+    def dims(self) -> Tuple[int, ...]:
+        return tuple(c.dim for c in self.components)
+
+
 @dataclass(frozen=True)
-class HopfGroupAlgebra:
+class HopfGroupAlgebra(_GradedFamily):
     """Family of coalgebras with graded multiplications and antipodes."""
 
     group: FiniteGroup
@@ -183,40 +229,12 @@ class HopfGroupAlgebra:
     unit: Matrix  # dim(H_e) x 1
     antipodes: Tuple[Matrix, ...]  # [g]: H_g -> H_{g^-1}
 
-    def __post_init__(self) -> None:
-        grp = self.group
-        if grp.identity is None or any(i is None for i in grp.inverse):
-            raise InvalidStructureError("group table is not a group")
-        dims = self.dims
-        if len(self.components) != grp.order or len(self.antipodes) != grp.order:
-            raise ShapeError("one component and one antipode per group element")
-        same_field(self.field, *(c.field for c in self.components))
-        if any(c.parity is not None for c in self.components):
-            raise ShapeError("graded structures are plain (no component parities)")
-        for g in grp.elements():
-            for h in grp.elements():
-                m = self.graded_mult[g][h]
-                want = (dims[grp.mul(g, h)], dims[g] * dims[h])
-                if m.shape != want:
-                    raise ShapeError(f"graded_mult[{g}][{h}] must be {want}, got {m.shape}")
-        if self.unit.shape != (dims[grp.identity], 1):
-            raise ShapeError("unit must be a column in the identity component")
-        for g in grp.elements():
-            want = (dims[grp.inv(g)], dims[g])
-            if self.antipodes[g].shape != want:
-                raise ShapeError(f"antipode[{g}] must be {want}, got {self.antipodes[g].shape}")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.components[0].field
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
+    _MAPS = ("graded_mult", "unit")
+    _DUAL = False
 
 
 @dataclass(frozen=True)
-class HopfGroupCoalgebra:
+class HopfGroupCoalgebra(_GradedFamily):
     """Family of algebras with co-graded comultiplications and antipodes."""
 
     group: FiniteGroup
@@ -225,53 +243,56 @@ class HopfGroupCoalgebra:
     counit: Matrix  # 1 x dim(H_e)
     antipodes: Tuple[Matrix, ...]  # [g]: H_{g^-1} -> H_g
 
-    def __post_init__(self) -> None:
-        grp = self.group
-        if grp.identity is None or any(i is None for i in grp.inverse):
-            raise InvalidStructureError("group table is not a group")
-        dims = self.dims
-        if len(self.components) != grp.order or len(self.antipodes) != grp.order:
-            raise ShapeError("one component and one antipode per group element")
-        same_field(self.field, *(c.field for c in self.components))
-        if any(c.parity is not None for c in self.components):
-            raise ShapeError("graded structures are plain (no component parities)")
-        for g in grp.elements():
-            for h in grp.elements():
-                m = self.graded_comult[g][h]
-                want = (dims[g] * dims[h], dims[grp.mul(g, h)])
-                if m.shape != want:
-                    raise ShapeError(f"graded_comult[{g}][{h}] must be {want}, got {m.shape}")
-        if self.counit.shape != (1, dims[grp.identity]):
-            raise ShapeError("counit must be a row on the identity component")
-        for g in grp.elements():
-            want = (dims[g], dims[grp.inv(g)])
-            if self.antipodes[g].shape != want:
-                raise ShapeError(f"antipode[{g}] must be {want}, got {self.antipodes[g].shape}")
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.components[0].field
-
-    @property
-    def dims(self) -> Tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
+    _MAPS = ("graded_comult", "counit")
+    _DUAL = True
 
 
 def _gname(grp: FiniteGroup, g: int) -> str:
     return grp.element_names[g]
 
 
+# The group-coalgebra axiom that each group-algebra axiom of its dagger transposes.
+_DUAL_NAMES = {
+    "assoc": "coassoc",
+    "unit": "counit",
+    "mult_coalg_morphism": "comult_alg_morphism",
+    "mult_counit": "comult_unit",
+    "unit_coalg_morphism": "counit_alg_morphism",
+    "unit_counit": "counit_unit",
+}
+
+
 def check_hopf_group_algebra(h: HopfGroupAlgebra) -> VerificationReport:
     rep = VerificationReport("hopf-group-algebra")
+    return _hopf_group_axioms(rep, h, h.components, check_coalgebra, dual=False)
+
+
+def check_hopf_group_coalgebra(h: HopfGroupCoalgebra) -> VerificationReport:
+    """The axioms of ``dagger(h)``, which are those of ``h`` transposed,
+    reported under the coalgebra names and positions."""
+    rep = VerificationReport("hopf-group-coalgebra")
+    return _hopf_group_axioms(rep, dagger(h, validate=False), h.components, check_algebra, dual=True)
+
+
+def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, dual: bool):
+    """The axioms of the Hopf group-algebra ``h``, with ``components`` checked
+    by ``check_component``.  With ``dual``, ``h`` is the dagger of the
+    group-coalgebra being checked: every axiom is reported under its dual name
+    with the witness on the group-coalgebra's own matrices."""
     grp = h.group
     rep.merge(check_group(grp), "group.")
     if not rep.ok:
         return rep
+    names = _DUAL_NAMES if dual else {}
+
+    def axiom(stem, suffix, lhs, rhs):
+        matrix_axiom(rep, names.get(stem, stem) + suffix, lhs, rhs, transposed=dual)
+
     f = h.field
     dims = h.dims
     e = grp.identity
     for g in grp.elements():
-        rep.merge(check_coalgebra(h.components[g]), f"H[{_gname(grp, g)}].")
+        rep.merge(check_component(components[g]), f"H[{_gname(grp, g)}].")
     idm = [Matrix.identity(f, d) for d in dims]
     mu = h.graded_mult
     for g in grp.elements():
@@ -279,115 +300,45 @@ def check_hopf_group_algebra(h: HopfGroupAlgebra) -> VerificationReport:
             for l in grp.elements():
                 gk = grp.mul(g, k)
                 kl = grp.mul(k, l)
-                matrix_axiom(
-                    rep,
-                    f"assoc[{_gname(grp, g)},{_gname(grp, k)},{_gname(grp, l)}]",
+                axiom(
+                    "assoc",
+                    f"[{_gname(grp, g)},{_gname(grp, k)},{_gname(grp, l)}]",
                     lambda: mu[gk][l] @ tensor(mu[g][k], idm[l]),
                     lambda: mu[g][kl] @ tensor(idm[g], mu[k][l]),
                 )
     for g in grp.elements():
-        matrix_axiom(rep, f"unit.right[{_gname(grp, g)}]", lambda: mu[g][e] @ tensor(idm[g], h.unit), lambda: idm[g])
-        matrix_axiom(rep, f"unit.left[{_gname(grp, g)}]", lambda: mu[e][g] @ tensor(h.unit, idm[g]), lambda: idm[g])
+        axiom("unit", f".right[{_gname(grp, g)}]", lambda: mu[g][e] @ tensor(idm[g], h.unit), lambda: idm[g])
+        axiom("unit", f".left[{_gname(grp, g)}]", lambda: mu[e][g] @ tensor(h.unit, idm[g]), lambda: idm[g])
     for g in grp.elements():
         for k in grp.elements():
             gk = grp.mul(g, k)
             cg, ck, cgk = h.components[g], h.components[k], h.components[gk]
-            matrix_axiom(
-                rep,
-                f"mult_coalg_morphism[{_gname(grp, g)},{_gname(grp, k)}]",
+            pair = f"[{_gname(grp, g)},{_gname(grp, k)}]"
+            axiom(
+                "mult_coalg_morphism",
+                pair,
                 lambda: cgk.comult @ mu[g][k],
                 lambda: tensor(mu[g][k], mu[g][k])
                 @ apply_middle_swap(tensor(cg.comult, ck.comult), dims[g], dims[g], dims[k], dims[k]),
             )
-            matrix_axiom(
-                rep,
-                f"mult_counit[{_gname(grp, g)},{_gname(grp, k)}]",
-                lambda: cgk.counit @ mu[g][k],
-                lambda: tensor(cg.counit, ck.counit),
-            )
+            axiom("mult_counit", pair, lambda: cgk.counit @ mu[g][k], lambda: tensor(cg.counit, ck.counit))
     ce = h.components[e]
-    matrix_axiom(rep, "unit_coalg_morphism", lambda: ce.comult @ h.unit, lambda: tensor(h.unit, h.unit))
-    matrix_axiom(rep, "unit_counit", lambda: ce.counit @ h.unit, lambda: Matrix.from_rows(f, [[1]]))
+    axiom("unit_coalg_morphism", "", lambda: ce.comult @ h.unit, lambda: tensor(h.unit, h.unit))
+    axiom("unit_counit", "", lambda: ce.counit @ h.unit, lambda: Matrix.from_rows(f, [[1]]))
     for g in grp.elements():
         gi = grp.inv(g)
         cg = h.components[g]
         target = h.unit @ cg.counit
-        matrix_axiom(
-            rep,
-            f"antipode.left[{_gname(grp, g)}]",
+        axiom(
+            "antipode",
+            f".left[{_gname(grp, g)}]",
             lambda: mu[gi][g] @ tensor(h.antipodes[g], idm[g]) @ cg.comult,
             lambda: target,
         )
-        matrix_axiom(
-            rep,
-            f"antipode.right[{_gname(grp, g)}]",
+        axiom(
+            "antipode",
+            f".right[{_gname(grp, g)}]",
             lambda: mu[g][gi] @ tensor(idm[g], h.antipodes[g]) @ cg.comult,
-            lambda: target,
-        )
-    return rep
-
-
-def check_hopf_group_coalgebra(h: HopfGroupCoalgebra) -> VerificationReport:
-    rep = VerificationReport("hopf-group-coalgebra")
-    grp = h.group
-    rep.merge(check_group(grp), "group.")
-    if not rep.ok:
-        return rep
-    f = h.field
-    dims = h.dims
-    e = grp.identity
-    for g in grp.elements():
-        rep.merge(check_algebra(h.components[g]), f"H[{_gname(grp, g)}].")
-    idm = [Matrix.identity(f, d) for d in dims]
-    dl = h.graded_comult
-    for g in grp.elements():
-        for k in grp.elements():
-            for l in grp.elements():
-                gk = grp.mul(g, k)
-                kl = grp.mul(k, l)
-                matrix_axiom(
-                    rep,
-                    f"coassoc[{_gname(grp, g)},{_gname(grp, k)},{_gname(grp, l)}]",
-                    lambda: tensor(dl[g][k], idm[l]) @ dl[gk][l],
-                    lambda: tensor(idm[g], dl[k][l]) @ dl[g][kl],
-                )
-    for g in grp.elements():
-        matrix_axiom(rep, f"counit.right[{_gname(grp, g)}]", lambda: tensor(idm[g], h.counit) @ dl[g][e], lambda: idm[g])
-        matrix_axiom(rep, f"counit.left[{_gname(grp, g)}]", lambda: tensor(h.counit, idm[g]) @ dl[e][g], lambda: idm[g])
-    for g in grp.elements():
-        for k in grp.elements():
-            gk = grp.mul(g, k)
-            ag, ak, agk = h.components[g], h.components[k], h.components[gk]
-            matrix_axiom(
-                rep,
-                f"comult_alg_morphism[{_gname(grp, g)},{_gname(grp, k)}]",
-                lambda: dl[g][k] @ agk.mult,
-                lambda: tensor(ag.mult, ak.mult)
-                @ apply_middle_swap(tensor(dl[g][k], dl[g][k]), dims[g], dims[k], dims[g], dims[k]),
-            )
-            matrix_axiom(
-                rep,
-                f"comult_unit[{_gname(grp, g)},{_gname(grp, k)}]",
-                lambda: dl[g][k] @ agk.unit,
-                lambda: tensor(ag.unit, ak.unit),
-            )
-    ae = h.components[e]
-    matrix_axiom(rep, "counit_alg_morphism", lambda: h.counit @ ae.mult, lambda: tensor(h.counit, h.counit))
-    matrix_axiom(rep, "counit_unit", lambda: h.counit @ ae.unit, lambda: Matrix.from_rows(f, [[1]]))
-    for g in grp.elements():
-        gi = grp.inv(g)
-        ag = h.components[g]
-        target = ag.unit @ h.counit
-        matrix_axiom(
-            rep,
-            f"antipode.left[{_gname(grp, g)}]",
-            lambda: ag.mult @ tensor(h.antipodes[g], idm[g]) @ dl[gi][g],
-            lambda: target,
-        )
-        matrix_axiom(
-            rep,
-            f"antipode.right[{_gname(grp, g)}]",
-            lambda: ag.mult @ tensor(idm[g], h.antipodes[g]) @ dl[g][gi],
             lambda: target,
         )
     return rep
@@ -402,63 +353,30 @@ def dagger(h, validate: bool = True):
     Every structure map transposes (multiplications become comultiplications
     and vice versa, unit and counit swap, antipodes transpose with source and
     target as dictated by contravariance).  Applying it twice returns the
-    input bit-exactly.
+    input bit-exactly.  Only the input is checked: the axioms of the output
+    are those of the input, transposed.
     """
     if isinstance(h, HopfGroupAlgebra):
-        if validate:
-            require_valid(h, check_hopf_group_algebra, "dagger input")
-        out = HopfGroupCoalgebra(
-            group=h.group,
-            components=tuple(
-                AlgebraSC(
-                    field=c.field,
-                    dim=c.dim,
-                    basis_names=tuple(dual_name(s) for s in c.basis_names),
-                    mult=c.comult.transpose(),
-                    unit=c.counit.transpose(),
-                )
-                for c in h.components
-            ),
-            graded_comult=tuple(
-                tuple(h.graded_mult[g][k].transpose() for k in h.group.elements())
-                for g in h.group.elements()
-            ),
-            counit=h.unit.transpose(),
-            antipodes=tuple(s.transpose() for s in h.antipodes),
-        )
-        if validate:
-            rep = check_hopf_group_coalgebra(out)
-            if not rep.ok:
-                raise InvariantViolation("dagger output fails its axiom check")
-        return out
-    if isinstance(h, HopfGroupCoalgebra):
-        if validate:
-            require_valid(h, check_hopf_group_coalgebra, "dagger input")
-        out = HopfGroupAlgebra(
-            group=h.group,
-            components=tuple(
-                CoalgebraSC(
-                    field=a.field,
-                    dim=a.dim,
-                    basis_names=tuple(dual_name(s) for s in a.basis_names),
-                    comult=a.mult.transpose(),
-                    counit=a.unit.transpose(),
-                )
-                for a in h.components
-            ),
-            graded_mult=tuple(
-                tuple(h.graded_comult[g][k].transpose() for k in h.group.elements())
-                for g in h.group.elements()
-            ),
-            unit=h.counit.transpose(),
-            antipodes=tuple(s.transpose() for s in h.antipodes),
-        )
-        if validate:
-            rep = check_hopf_group_algebra(out)
-            if not rep.ok:
-                raise InvariantViolation("dagger output fails its axiom check")
-        return out
-    raise TypeError("dagger expects a Hopf group-algebra or group-coalgebra")
+        check, out, part = check_hopf_group_algebra, HopfGroupCoalgebra, AlgebraSC
+        maps = [(c.comult, c.counit) for c in h.components]
+    elif isinstance(h, HopfGroupCoalgebra):
+        check, out, part = check_hopf_group_coalgebra, HopfGroupAlgebra, CoalgebraSC
+        maps = [(a.mult, a.unit) for a in h.components]
+    else:
+        raise TypeError("dagger expects a Hopf group-algebra or group-coalgebra")
+    if validate:
+        require_valid(h, check, "dagger input")
+    graded, point = (getattr(h, name) for name in h._MAPS)
+    return out(
+        h.group,
+        tuple(
+            part(c.field, c.dim, tuple(dual_name(s) for s in c.basis_names), m.transpose(), u.transpose())
+            for c, (m, u) in zip(h.components, maps)
+        ),
+        tuple(tuple(m.transpose() for m in row) for row in graded),
+        point.transpose(),
+        tuple(s.transpose() for s in h.antipodes),
+    )
 
 
 # -- the total Hopf algebra ------------------------------------------------------
@@ -627,10 +545,6 @@ class GPrimitiveSpace:
     space_families: Matrix  # dim(space) x total_dim
 
 
-def _component_bracket(a: AlgebraSC) -> Matrix:
-    return a.mult - a.mult @ swap_map(a.field, a.dim, a.dim, a.parity, a.parity)
-
-
 def family_equations(h: HopfGroupCoalgebra) -> Matrix:
     """The stacked linear system cutting out joint primitive families.
 
@@ -666,26 +580,21 @@ def family_equations(h: HopfGroupCoalgebra) -> Matrix:
     return Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, total)
 
 
-def g_primitives(h: HopfGroupCoalgebra, g: int, validate: bool = True) -> GPrimitiveSpace:
-    """Degree-g primitives of a Hopf group-coalgebra, as a Lie algebra.
+def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimitiveSpace, ...]:
+    """Primitives of a Hopf group-coalgebra in every degree, each as a Lie algebra.
 
-    Closure under the commutator of H_g is certified together with the fact
-    that the componentwise commutator of two canonical families is again a
-    solution family projecting onto the bracket.
+    The joint family system does not depend on the degree, so it is solved
+    once and every degree projects the same family space.  Closure under the
+    commutator of H_g is certified together with the fact that the
+    componentwise commutator of two canonical families is again a solution
+    family projecting onto the bracket.
     """
     if validate:
         require_valid(h, check_hopf_group_coalgebra, "g_primitives input")
     grp = h.group
-    if not (0 <= g < grp.order):
-        raise ValueError(f"degree index {g} out of range")
-    f = h.field
     dims = h.dims
     off = _offsets(dims)
-    total = off[-1]
     family_space = nullspace(family_equations(h))
-
-    proj = [row[off[g] : off[g] + dims[g]] for row in family_space.basis.data]
-    space = Subspace.from_vectors(f, dims[g], proj)
 
     # Counit vanishes on the identity block of every solution family.
     e = grp.identity
@@ -694,6 +603,22 @@ def g_primitives(h: HopfGroupCoalgebra, g: int, validate: bool = True) -> GPrimi
         val = h.counit.apply(block_e)[0]
         if val != 0:
             raise InvariantViolation("counit does not vanish on a solution family")
+
+    brackets = [commutator_lie(a, validate=False).bracket for a in h.components]
+    return tuple(_degree_primitives(h, g, family_space, brackets) for g in grp.elements())
+
+
+def _degree_primitives(
+    h: HopfGroupCoalgebra, g: int, family_space: Subspace, brackets: List[Matrix]
+) -> GPrimitiveSpace:
+    """The degree-g projection of the joint family space, with its bracket."""
+    grp = h.group
+    f = h.field
+    dims = h.dims
+    off = _offsets(dims)
+    total = off[-1]
+    proj = [row[off[g] : off[g] + dims[g]] for row in family_space.basis.data]
+    space = Subspace.from_vectors(f, dims[g], proj)
 
     fam_rows: List[Tuple] = []
     if space.dim:
@@ -714,7 +639,6 @@ def g_primitives(h: HopfGroupCoalgebra, g: int, validate: bool = True) -> GPrimi
             fam_rows.append(tuple(fam))
     space_families = Matrix(f, len(fam_rows), total, tuple(fam_rows)) if fam_rows else Matrix.zeros(f, 0, total)
 
-    brackets = [_component_bracket(h.components[idx]) for idx in grp.elements()]
     p = space.dim
     cols = []
     for i in range(p):
@@ -1012,7 +936,7 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
     off = _offsets(dims)
     hd = dagger(h, validate=False)
     gind = g_indecomposables(h, validate=False)
-    prims = [g_primitives(hd, g, validate=False) for g in grp.elements()]
+    prims = g_primitives(hd, validate=False)
 
     degrees: List[DegreeCertificate] = []
     for g in grp.elements():
@@ -1044,6 +968,7 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
             failures.append(f"dim Q_g = {k} but dim P_g = {pg.space.dim}")
 
         lie_ok = False
+        coord_mat = None
         if image_ok and dims_equal:
             coords = [pg.space.coordinates_of(alpha.col(t)) for t in range(k)]
             coord_mat = Matrix(
@@ -1081,25 +1006,11 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
                 if not beta_defined:
                     break
         if beta_defined:
-            beta = Matrix(
-                f,
-                k,
-                pg.space.dim,
-                tuple(
-                    tuple(
-                        sum_dot(f, pg.space.basis.data[i], reps[j]) for i in range(pg.space.dim)
-                    )
-                    for j in range(k)
-                ),
-            )
+            beta = Matrix(f, k, dims[g], tuple(reps)) @ pg.space.basis.transpose()
         else:
             beta = Matrix.zeros(f, k, pg.space.dim)
         beta_alpha = False
-        if beta_defined and dims_equal and image_ok:
-            coords = [pg.space.coordinates_of(alpha.col(t)) for t in range(k)]
-            coord_mat = Matrix(
-                f, pg.space.dim, k, tuple(tuple(c[i] for c in coords) for i in range(pg.space.dim))
-            )
+        if beta_defined and coord_mat is not None:
             beta_alpha = beta @ coord_mat == Matrix.identity(f, k)
             if not beta_alpha:
                 failures.append("beta . alpha is not the identity on Q_g^*")
@@ -1148,12 +1059,3 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
         p_family=p_family,
         q_family=q_family,
     )
-
-
-def sum_dot(field: FieldSpec, u, v):
-    """Exact dot product of two coordinate sequences."""
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            acc = field.add(acc, field.mul(a, b))
-    return acc

@@ -294,6 +294,47 @@ def _grid(nrows, ncols, entry):
     return [[entry(r, c) for c in range(ncols)] for r in range(nrows)]
 
 
+def _recorder(out, p, names, prefix=""):
+    """An ``axiom(name, nrows, ncols, lhs, rhs, row_factors, col_factors)``
+    that builds both sides as dense grids and appends (name, passed, witness)
+    to ``out``."""
+
+    def axiom(name, nrows, ncols, lhs, rhs, row_factors=0, col_factors=0):
+        passed, witness = _first_difference(
+            _grid(nrows, ncols, lhs), _grid(nrows, ncols, rhs), p, row_factors, col_factors, names
+        )
+        out.append((prefix + name, passed, witness))
+
+    return axiom
+
+
+def _trip(n):
+    return lambda c: (c // (n * n), c // n % n, c % n)
+
+
+def _algebra_axioms(axiom, M, u, n):
+    """Associativity and both unit laws of constants M[i][j][k], unit u."""
+    rng, trip = range(n), _trip(n)
+    delta = lambda k, c: 1 if k == c else 0  # noqa: E731
+    axiom("associativity", n, n ** 3,
+          lambda k, c: sum(M[trip(c)[0]][trip(c)[1]][r] * M[r][trip(c)[2]][k] for r in rng),
+          lambda k, c: sum(M[trip(c)[1]][trip(c)[2]][r] * M[trip(c)[0]][r][k] for r in rng), 1, 3)
+    axiom("unit.left", n, n, lambda k, j: sum(u[r] * M[r][j][k] for r in rng), delta, 1, 1)
+    axiom("unit.right", n, n, lambda k, i: sum(u[r] * M[i][r][k] for r in rng), delta, 1, 1)
+
+
+def _coalgebra_axioms(axiom, D, eps, n):
+    """Coassociativity and both counit laws of constants D[i][j][k], counit eps."""
+    rng, trip = range(n), _trip(n)
+    delta = lambda k, c: 1 if k == c else 0  # noqa: E731
+    axiom("coassociativity", n ** 3, n,
+          lambda abc, i: sum(D[i][r][trip(abc)[2]] * D[r][trip(abc)[0]][trip(abc)[1]] for r in rng),
+          lambda abc, i: sum(D[i][trip(abc)[0]][r] * D[r][trip(abc)[1]][trip(abc)[2]] for r in rng),
+          3, 1)
+    axiom("counit.left", n, n, lambda b, i: sum(eps[a] * D[i][a][b] for a in rng), delta, 1, 1)
+    axiom("counit.right", n, n, lambda a, i: sum(eps[b] * D[i][a][b] for b in rng), delta, 1, 1)
+
+
 def oracle_axiom_check(obj):
     """(name, passed, witness) for every axiom of a Hopf algebra, Lie algebra
     or Lie coalgebra, in the library's report order.
@@ -311,16 +352,9 @@ def oracle_axiom_check(obj):
     def sg(a, b):
         return -1 if odd[a] and odd[b] else 1
 
-    def trip(c):
-        return c // (n * n), c // n % n, c % n
-
+    trip = _trip(n)
     out = []
-
-    def axiom(name, nrows, ncols, lhs, rhs, row_factors=0, col_factors=0):
-        passed, witness = _first_difference(
-            _grid(nrows, ncols, lhs), _grid(nrows, ncols, rhs), p, row_factors, col_factors, names
-        )
-        out.append((name, passed, witness))
+    axiom = _recorder(out, p, names)
 
     if hasattr(obj, "bracket"):
         B = _coeffs3(obj.bracket, n, comult=False)
@@ -362,19 +396,8 @@ def oracle_axiom_check(obj):
     u = [_plain(r[0]) for r in obj.unit.rows_list()]
     eps = [_plain(x) for x in obj.counit.rows_list()[0]]
     S = [[_plain(x) for x in r] for r in obj.antipode.rows_list()]  # S(e_i) has S[k][i] on e_k
-    delta = lambda k, c: 1 if k == c else 0  # noqa: E731
-
-    axiom("associativity", n, n ** 3,
-          lambda k, c: sum(M[trip(c)[0]][trip(c)[1]][r] * M[r][trip(c)[2]][k] for r in rng),
-          lambda k, c: sum(M[trip(c)[1]][trip(c)[2]][r] * M[trip(c)[0]][r][k] for r in rng), 1, 3)
-    axiom("unit.left", n, n, lambda k, j: sum(u[r] * M[r][j][k] for r in rng), delta, 1, 1)
-    axiom("unit.right", n, n, lambda k, i: sum(u[r] * M[i][r][k] for r in rng), delta, 1, 1)
-    axiom("coassociativity", n ** 3, n,
-          lambda abc, i: sum(D[i][r][trip(abc)[2]] * D[r][trip(abc)[0]][trip(abc)[1]] for r in rng),
-          lambda abc, i: sum(D[i][trip(abc)[0]][r] * D[r][trip(abc)[1]][trip(abc)[2]] for r in rng),
-          3, 1)
-    axiom("counit.left", n, n, lambda b, i: sum(eps[a] * D[i][a][b] for a in rng), delta, 1, 1)
-    axiom("counit.right", n, n, lambda a, i: sum(eps[b] * D[i][a][b] for b in rng), delta, 1, 1)
+    _algebra_axioms(axiom, M, u, n)
+    _coalgebra_axioms(axiom, D, eps, n)
 
     def braided_product(ab, ij):
         a, b = divmod(ab, n)
@@ -416,3 +439,255 @@ def oracle_axiom_check(obj):
     axiom("antipode.left", n, n, lambda k, i: antipode(k, i, True), lambda k, i: u[k] * eps[i], 1, 1)
     axiom("antipode.right", n, n, lambda k, i: antipode(k, i, False), lambda k, i: u[k] * eps[i], 1, 1)
     return out
+
+
+def _block(mat, rows, cols):
+    """A structure matrix as plain nested lists, integral rationals as int."""
+    data = [[_plain(x) for x in r] for r in mat.rows_list()]
+    assert len(data) == rows and all(len(r) == cols for r in data)
+    return data
+
+
+def _group_axioms(grp):
+    """The library's ``group.*`` entries, from the table by explicit loops."""
+    n, t, names = grp.order, grp.table, grp.element_names
+    bad = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+           if t[t[a][b]][c] != t[a][t[b][c]]]
+    out = [("group.associativity", not bad,
+            {"triple": [names[x] for x in bad[0]]} if bad else None),
+           ("group.closure", True, None)]
+    ids = [e for e in range(n) if all(t[e][a] == a == t[a][e] for a in range(n))]
+    out.append(("group.identity", bool(ids), None if ids else {"reason": "no two-sided identity"}))
+    missing = [a for a in range(n)
+               if not ids or not any(t[a][b] == ids[0] == t[b][a] for b in range(n))]
+    out.append(("group.inverses", not missing,
+                {"elements": [names[a] for a in missing]} if missing else None))
+    return out
+
+
+def _zeros(rows, cols):
+    return [[0] * cols for _ in range(rows)]
+
+
+def _nonzero(m, rows, cols):
+    """Nonzero entries of a structure matrix, as {(row, col): value}."""
+    return {(r, c): x for r, row in enumerate(_block(m, rows, cols)) for c, x in enumerate(row) if x}
+
+
+def oracle_graded_axiom_check(h):
+    """(name, passed, witness) for every axiom of a Hopf group-algebra or
+    group-coalgebra, in the library's report order.
+
+    Each form is checked on its own structure maps: a group-coalgebra is not
+    dualized first.  Components get the classical (co)algebra axioms with
+    labelled witnesses.  Each graded axiom builds both sides as dense grids,
+    summing products of structure constants by explicit loops, and reports
+    the raw ``(row, col)`` of the first differing entry in row-major order.
+    """
+    grp = h.group
+    p = h.field.characteristic
+    out = _group_axioms(grp)
+    if not all(passed for _, passed, _ in out):
+        return out
+    order = grp.order
+    e = grp.identity
+    inv = [next(b for b in range(order) if grp.mul(a, b) == e) for a in range(order)]
+    d = list(h.dims)
+    coalgebra_form = hasattr(h, "graded_comult")
+    for g in range(order):
+        c = h.components[g]
+        axiom = _recorder(out, p, list(c.basis_names), f"H[{grp.element_names[g]}].")
+        if coalgebra_form:
+            _algebra_axioms(axiom, _coeffs3(c.mult, d[g], comult=False),
+                            [_plain(r[0]) for r in c.unit.rows_list()], d[g])
+        else:
+            _coalgebra_axioms(axiom, _coeffs3(c.comult, d[g], comult=True),
+                              [_plain(x) for x in c.counit.rows_list()[0]], d[g])
+
+    def axiom(name, lhs, rhs):
+        passed, witness = _first_difference(lhs, rhs, p, 0, 0, [])
+        out.append((name, passed, witness))
+
+    graded = _graded_coalgebra_axioms if coalgebra_form else _graded_algebra_axioms
+    graded(h, axiom, grp, inv, d)
+    return out
+
+
+def _graded_algebra_axioms(h, axiom, grp, inv, d):
+    G, mul, e, nm = range(grp.order), grp.mul, grp.identity, grp.element_names
+    # Mu[g][k][a][b]: (r, v) with v the coefficient of e_r in mu_{g,k}(e_a (x) e_b)
+    Mu = [[None] * grp.order for _ in G]
+    for g in G:
+        for k in G:
+            Mu[g][k] = [[[] for _ in range(d[k])] for _ in range(d[g])]
+            for (r, ab), v in _nonzero(h.graded_mult[g][k], d[mul(g, k)], d[g] * d[k]).items():
+                Mu[g][k][ab // d[k]][ab % d[k]].append((r, v))
+    # D[g][a]: (x, y, v) with v the coefficient of e_x (x) e_y in Delta_g(e_a)
+    D, eps = [], []
+    for g in G:
+        D.append([[] for _ in range(d[g])])
+        for (xy, a), v in _nonzero(h.components[g].comult, d[g] * d[g], d[g]).items():
+            D[g][a].append((xy // d[g], xy % d[g], v))
+        eps.append(_block(h.components[g].counit, 1, d[g])[0])
+    u = [r[0] for r in _block(h.unit, d[e], 1)]
+    S = [_block(h.antipodes[g], d[inv[g]], d[g]) for g in G]
+
+    def identity(n):
+        return [[int(r == c) for c in range(n)] for r in range(n)]
+
+    for g in G:
+        for k in G:
+            for l in G:
+                gk, kl = mul(g, k), mul(k, l)
+                lhs, rhs = _zeros(d[mul(gk, l)], d[g] * d[k] * d[l]), _zeros(d[mul(gk, l)], d[g] * d[k] * d[l])
+                for a in range(d[g]):
+                    for b in range(d[k]):
+                        for z in range(d[l]):
+                            col = (a * d[k] + b) * d[l] + z
+                            for s, v in Mu[g][k][a][b]:
+                                for r, w in Mu[gk][l][s][z]:
+                                    lhs[r][col] += v * w
+                            for s, v in Mu[k][l][b][z]:
+                                for r, w in Mu[g][kl][a][s]:
+                                    rhs[r][col] += v * w
+                axiom(f"assoc[{nm[g]},{nm[k]},{nm[l]}]", lhs, rhs)
+    for g in G:
+        right, left = _zeros(d[g], d[g]), _zeros(d[g], d[g])
+        for a in range(d[g]):
+            for s in range(d[e]):
+                for r, w in Mu[g][e][a][s]:
+                    right[r][a] += u[s] * w
+                for r, w in Mu[e][g][s][a]:
+                    left[r][a] += u[s] * w
+        axiom(f"unit.right[{nm[g]}]", right, identity(d[g]))
+        axiom(f"unit.left[{nm[g]}]", left, identity(d[g]))
+    for g in G:
+        for k in G:
+            gk = mul(g, k)
+            lhs, rhs = _zeros(d[gk] * d[gk], d[g] * d[k]), _zeros(d[gk] * d[gk], d[g] * d[k])
+            counit_lhs, counit_rhs = _zeros(1, d[g] * d[k]), _zeros(1, d[g] * d[k])
+            for a in range(d[g]):
+                for b in range(d[k]):
+                    col = a * d[k] + b
+                    for s, v in Mu[g][k][a][b]:
+                        for x, y, w in D[gk][s]:
+                            lhs[x * d[gk] + y][col] += v * w
+                        counit_lhs[0][col] += v * eps[gk][s]
+                    for a1, a2, v in D[g][a]:
+                        for b1, b2, w in D[k][b]:
+                            for x, m1 in Mu[g][k][a1][b1]:
+                                for y, m2 in Mu[g][k][a2][b2]:
+                                    rhs[x * d[gk] + y][col] += v * w * m1 * m2
+                    counit_rhs[0][col] = eps[g][a] * eps[k][b]
+            axiom(f"mult_coalg_morphism[{nm[g]},{nm[k]}]", lhs, rhs)
+            axiom(f"mult_counit[{nm[g]},{nm[k]}]", counit_lhs, counit_rhs)
+    lhs = _zeros(d[e] * d[e], 1)
+    for s in range(d[e]):
+        for x, y, w in D[e][s]:
+            lhs[x * d[e] + y][0] += u[s] * w
+    axiom("unit_coalg_morphism", lhs, [[u[xy // d[e]] * u[xy % d[e]]] for xy in range(d[e] * d[e])])
+    axiom("unit_counit", [[sum(eps[e][s] * u[s] for s in range(d[e]))]], [[1]])
+    for g in G:
+        gi = inv[g]
+        target = [[u[r] * eps[g][a] for a in range(d[g])] for r in range(d[e])]
+        left, right = _zeros(d[e], d[g]), _zeros(d[e], d[g])
+        for a in range(d[g]):
+            for x, y, v in D[g][a]:
+                for t in range(d[gi]):
+                    for r, w in Mu[gi][g][t][y]:
+                        left[r][a] += v * S[g][t][x] * w
+                    for r, w in Mu[g][gi][x][t]:
+                        right[r][a] += v * S[g][t][y] * w
+        axiom(f"antipode.left[{nm[g]}]", left, target)
+        axiom(f"antipode.right[{nm[g]}]", right, target)
+
+
+def _graded_coalgebra_axioms(h, axiom, grp, inv, d):
+    G, mul, e, nm = range(grp.order), grp.mul, grp.identity, grp.element_names
+    # Dl[g][k][s]: (x, y, v) with v the coefficient of e_x (x) e_y in delta_{g,k}(e_s)
+    Dl = [[None] * grp.order for _ in G]
+    for g in G:
+        for k in G:
+            gk = mul(g, k)
+            Dl[g][k] = [[] for _ in range(d[gk])]
+            for (xy, s), v in _nonzero(h.graded_comult[g][k], d[g] * d[k], d[gk]).items():
+                Dl[g][k][s].append((xy // d[k], xy % d[k], v))
+    # M[g][a][b]: (r, v) with v the coefficient of e_r in e_a e_b inside H_g
+    M, uc = [], []
+    for g in G:
+        M.append([[[] for _ in range(d[g])] for _ in range(d[g])])
+        for (r, ab), v in _nonzero(h.components[g].mult, d[g], d[g] * d[g]).items():
+            M[g][ab // d[g]][ab % d[g]].append((r, v))
+        uc.append([r[0] for r in _block(h.components[g].unit, d[g], 1)])
+    eps = _block(h.counit, 1, d[e])[0]
+    S = [_block(h.antipodes[g], d[g], d[inv[g]]) for g in G]
+
+    def identity(n):
+        return [[int(r == c) for c in range(n)] for r in range(n)]
+
+    for g in G:
+        for k in G:
+            for l in G:
+                gk, kl, gkl = mul(g, k), mul(k, l), mul(mul(g, k), l)
+                lhs, rhs = _zeros(d[g] * d[k] * d[l], d[gkl]), _zeros(d[g] * d[k] * d[l], d[gkl])
+                for s in range(d[gkl]):
+                    for t, z, v in Dl[gk][l][s]:
+                        for x, y, w in Dl[g][k][t]:
+                            lhs[(x * d[k] + y) * d[l] + z][s] += v * w
+                    for x, t, v in Dl[g][kl][s]:
+                        for y, z, w in Dl[k][l][t]:
+                            rhs[(x * d[k] + y) * d[l] + z][s] += v * w
+                axiom(f"coassoc[{nm[g]},{nm[k]},{nm[l]}]", lhs, rhs)
+    for g in G:
+        right, left = _zeros(d[g], d[g]), _zeros(d[g], d[g])
+        for s in range(d[g]):
+            for x, t, v in Dl[g][e][s]:
+                right[x][s] += v * eps[t]
+            for t, x, v in Dl[e][g][s]:
+                left[x][s] += eps[t] * v
+        axiom(f"counit.right[{nm[g]}]", right, identity(d[g]))
+        axiom(f"counit.left[{nm[g]}]", left, identity(d[g]))
+    for g in G:
+        for k in G:
+            gk = mul(g, k)
+            lhs, rhs = _zeros(d[g] * d[k], d[gk] * d[gk]), _zeros(d[g] * d[k], d[gk] * d[gk])
+            for s in range(d[gk]):
+                for t in range(d[gk]):
+                    col = s * d[gk] + t
+                    for r, v in M[gk][s][t]:
+                        for x, y, w in Dl[g][k][r]:
+                            lhs[x * d[k] + y][col] += v * w
+                    for x1, y1, v in Dl[g][k][s]:
+                        for x2, y2, w in Dl[g][k][t]:
+                            for x, m1 in M[g][x1][x2]:
+                                for y, m2 in M[k][y1][y2]:
+                                    rhs[x * d[k] + y][col] += v * w * m1 * m2
+            axiom(f"comult_alg_morphism[{nm[g]},{nm[k]}]", lhs, rhs)
+            unit_lhs = _zeros(d[g] * d[k], 1)
+            for r in range(d[gk]):
+                for x, y, w in Dl[g][k][r]:
+                    unit_lhs[x * d[k] + y][0] += uc[gk][r] * w
+            axiom(f"comult_unit[{nm[g]},{nm[k]}]", unit_lhs,
+                  [[uc[g][xy // d[k]] * uc[k][xy % d[k]]] for xy in range(d[g] * d[k])])
+    lhs = _zeros(1, d[e] * d[e])
+    for s in range(d[e]):
+        for t in range(d[e]):
+            for r, v in M[e][s][t]:
+                lhs[0][s * d[e] + t] += v * eps[r]
+    axiom("counit_alg_morphism", lhs, [[eps[st // d[e]] * eps[st % d[e]] for st in range(d[e] * d[e])]])
+    axiom("counit_unit", [[sum(eps[r] * uc[e][r] for r in range(d[e]))]], [[1]])
+    for g in G:
+        gi = inv[g]
+        target = [[uc[g][x] * eps[s] for s in range(d[e])] for x in range(d[g])]
+        left, right = _zeros(d[g], d[e]), _zeros(d[g], d[e])
+        for s in range(d[e]):
+            for a, b, v in Dl[gi][g][s]:
+                for t in range(d[g]):
+                    for x, w in M[g][t][b]:
+                        left[x][s] += v * S[g][t][a] * w
+            for a, b, v in Dl[g][gi][s]:
+                for t in range(d[g]):
+                    for x, w in M[g][a][t]:
+                        right[x][s] += v * S[g][t][b] * w
+        axiom(f"antipode.left[{nm[g]}]", left, target)
+        axiom(f"antipode.right[{nm[g]}]", right, target)

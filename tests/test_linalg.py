@@ -9,14 +9,11 @@ from hopflab.fields import FieldSpec
 from hopflab.linalg import (
     Matrix,
     Subspace,
-    membership,
     nullspace,
     quotient,
     rank,
     rref,
     solve_particular,
-    subspace_intersection,
-    subspace_sum,
     swap_map,
     tensor,
 )
@@ -171,22 +168,22 @@ class TestSubspaceOps:
     def test_sum(self):
         e1 = Subspace.from_vectors(Q, 3, [[1, 0, 0]])
         e2 = Subspace.from_vectors(Q, 3, [[0, 1, 0]])
-        assert subspace_sum(e1, e2) == Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
+        assert e1.sum_with(e2) == Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
 
     def test_intersection_trivial(self):
         diag = Subspace.from_vectors(Q, 2, [[1, 1]])
         e1 = Subspace.from_vectors(Q, 2, [[1, 0]])
-        assert subspace_intersection(diag, e1).dim == 0
+        assert diag.intersect(e1).dim == 0
 
     def test_intersection_nontrivial(self):
         a = Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
         b = Subspace.from_vectors(Q, 3, [[0, 1, 0], [0, 0, 1]])
-        assert subspace_intersection(a, b) == Subspace.from_vectors(Q, 3, [[0, 1, 0]])
+        assert a.intersect(b) == Subspace.from_vectors(Q, 3, [[0, 1, 0]])
 
     def test_membership(self):
         s = Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
-        assert membership(s, [1, 1, 0])
-        assert not membership(s, [0, 0, 1])
+        assert s.contains([1, 1, 0])
+        assert not s.contains([0, 0, 1])
 
     def test_coordinates(self):
         s = Subspace.from_vectors(Q, 3, [[1, 0, 2], [0, 1, 1]])
@@ -196,7 +193,7 @@ class TestSubspaceOps:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            subspace_sum(Subspace.zero(Q, 2), Subspace.zero(Q, 3))
+            Subspace.zero(Q, 2).sum_with(Subspace.zero(Q, 3))
 
 
 class TestQuotient:

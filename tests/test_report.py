@@ -41,3 +41,17 @@ def test_shape_mismatch_witness():
         "lhs_shape": (1, 2),
         "rhs_shape": (2, 1),
     }
+
+
+def test_transposed_witness_is_first_difference_of_the_transposes():
+    # The sides differ at (0, 2), (1, 0) and (2, 1): at (2, 0), (0, 1) and
+    # (1, 2) of the matrices the axiom is about, whose transposes they are.
+    rep = VerificationReport("demo")
+    lhs = {(0, 2): 1, (1, 0): 5, (1, 1): 3}
+    rhs = {(1, 1): 3, (2, 1): 7}
+    matrix_axiom(rep, "dual", lambda: lhs, lambda: rhs, str, lambda j: f"c{j}", transposed=True)
+    assert rep.checks[0].witness == {"row": "0", "col": "c1", "lhs": "5", "rhs": "0"}
+    shapes = VerificationReport("demo")
+    matrix_axiom(shapes, "dual", lambda: Matrix.zeros(Q, 1, 2), lambda: Matrix.zeros(Q, 2, 1),
+                 transposed=True)
+    assert shapes.checks[0].witness["lhs_shape"] == (2, 1)

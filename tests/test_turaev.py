@@ -9,6 +9,7 @@ from hopflab.linalg import Matrix
 from hopflab.primitives import indecomposables, michaelis_verify, primitives
 from hopflab.turaev import (
     FiniteGroup,
+    HopfGroupAlgebra,
     check_group,
     check_hopf_group_algebra,
     check_hopf_group_coalgebra,
@@ -47,6 +48,20 @@ def diag_examples():
         ("z5F5", diagonal_group_algebra(cyclic_group(5), F5)),
         ("s3Q", diagonal_group_algebra(symmetric_group(3), Q)),
     ]
+
+
+def truncated_family():
+    """truncated_poly(3) over Z3 with H_g = H, mu_{g,h} = m_H and S_g = S: a
+    family with multi-dimensional components over a nontrivial group."""
+    h, grp = truncated_poly(3), cyclic_group(3)
+    order = range(grp.order)
+    return HopfGroupAlgebra(
+        group=grp,
+        components=tuple(h.coalgebra for _ in order),
+        graded_mult=tuple(tuple(h.mult for _ in order) for _ in order),
+        unit=h.unit,
+        antipodes=tuple(h.antipode for _ in order),
+    )
 
 
 class TestFiniteGroup:
@@ -136,17 +151,16 @@ class TestTotalHopf:
 class TestGPrimitives:
     def test_diag_z3_f3_dimensions(self):
         hgc = dagger(diagonal_group_algebra(cyclic_group(3), F3))
-        dims = [g_primitives(hgc, g).space.dim for g in range(3)]
+        dims = [p.space.dim for p in g_primitives(hgc)]
         assert dims == [0, 1, 1]
 
     def test_diag_z3_rational_has_none(self):
         hgc = dagger(diagonal_group_algebra(cyclic_group(3), Q))
-        for g in range(3):
-            assert g_primitives(hgc, g).space.dim == 0
+        assert [p.space.dim for p in g_primitives(hgc)] == [0, 0, 0]
 
     def test_family_solutions_are_additive_characters(self):
         hgc = dagger(diagonal_group_algebra(cyclic_group(3), F3))
-        p = g_primitives(hgc, 1)
+        p = g_primitives(hgc)[1]
         # the unique family up to scale is c_h = h (additive character)
         assert subspace_rows(p.family_space) == [[0, 1, 2]]
 
@@ -156,7 +170,7 @@ class TestGPrimitives:
             dagger(diagonal_group_algebra(symmetric_group(3), Q)),
             hopf_as_group_coalgebra(truncated_poly(3)),
         ]:
-            pe = g_primitives(hgc, hgc.group.identity)
+            pe = g_primitives(hgc)[hgc.group.identity]
             he = identity_component_hopf(hgc)
             classical = primitives(he)
             assert pe.space.is_subspace_of(classical.space)
@@ -166,18 +180,29 @@ class TestGPrimitives:
     def test_trivial_group_reduces_to_classical(self):
         h = truncated_poly(3)
         hgc = hopf_as_group_coalgebra(h)
-        p = g_primitives(hgc, 0)
+        p = g_primitives(hgc)[0]
         assert subspace_rows(p.space) == subspace_rows(primitives(h).space)
 
     @pytest.mark.parametrize("name,hga", diag_examples(), ids=lambda x: x if isinstance(x, str) else "")
     def test_oracle_agreement(self, name, hga):
         hgc = dagger(hga)
-        for g in range(hga.group.order):
-            assert subspace_rows(g_primitives(hgc, g).space) == oracle_g_primitives(hgc, g)
+        for g, pg in enumerate(g_primitives(hgc)):
+            assert subspace_rows(pg.space) == oracle_g_primitives(hgc, g)
+
+    def test_multidim_family_over_z3(self):
+        hga = truncated_family()
+        hgc = dagger(hga)
+        prims = g_primitives(hgc)
+        assert [p.space.dim for p in prims] == [1, 2, 2]
+        for g, p in enumerate(prims):
+            assert subspace_rows(p.space) == oracle_g_primitives(hgc, g)
+        cert = group_michaelis_verify(hga)
+        assert cert.verified
+        assert cert.dims == ((1, 1), (2, 2), (2, 2))
 
     def test_oracle_agreement_multidim_component(self):
         hgc = hopf_as_group_coalgebra(truncated_poly(5))
-        assert subspace_rows(g_primitives(hgc, 0).space) == oracle_g_primitives(hgc, 0)
+        assert subspace_rows(g_primitives(hgc)[0].space) == oracle_g_primitives(hgc, 0)
 
 
 class TestGIndecomposables:
@@ -302,7 +327,7 @@ class TestJointVersusDefinitionForm:
         hgc = dagger(diagonal_group_algebra(cyclic_group(2), Q))
         assert oracle_g_primitives_definition_form(hgc, 1) == [[Fraction(1)]]
         assert oracle_g_primitives(hgc, 1) == []
-        assert subspace_rows(g_primitives(hgc, 1).space) == []
+        assert subspace_rows(g_primitives(hgc)[1].space) == []
 
 
 class TestFamilyEquations:
