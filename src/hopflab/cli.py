@@ -63,7 +63,7 @@ def _load(path, kind=None):
         return load(path, kind)
     except FileNotFoundError as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"malformed input {path}: {exc}")
 
 

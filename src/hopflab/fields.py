@@ -109,9 +109,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 

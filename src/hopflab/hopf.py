@@ -190,35 +190,45 @@ def _unital_associative(rep, names, mult, unit, a, dual) -> None:
     assoc, left, right = names
     matrix_axiom(rep, assoc, *k.associativity(mult), *((lab3, lab1) if dual else (lab1, lab3)),
                  transposed=dual)
-    matrix_axiom(rep, left, k.unit_left(mult, unit), k.identity, lab1, lab1, transposed=dual)
-    matrix_axiom(rep, right, k.unit_right(mult, unit), k.identity, lab1, lab1, transposed=dual)
+    matrix_axiom(rep, left, k.unit_left(mult, unit), k.identity(), lab1, lab1, transposed=dual)
+    matrix_axiom(rep, right, k.unit_right(mult, unit), k.identity(), lab1, lab1, transposed=dual)
+
+
+_ALGEBRA = ("associativity", "unit.left", "unit.right")
+_COALGEBRA = ("coassociativity", "counit.left", "counit.right")
 
 
 def check_algebra(a: AlgebraSC) -> VerificationReport:
     rep = VerificationReport("algebra")
-    names = ("associativity", "unit.left", "unit.right")
-    _unital_associative(
-        rep, names, sparse.columns(a.mult), sparse.vector(a.unit.col(0)), a, dual=False
-    )
+    mult, unit = sparse.columns(a.mult), sparse.vector(a.unit.col(0))
+    _unital_associative(rep, _ALGEBRA, mult, unit, a, dual=False)
     return rep
 
 
 def check_coalgebra(c: CoalgebraSC) -> VerificationReport:
     rep = VerificationReport("coalgebra")
-    names = ("coassociativity", "counit.left", "counit.right")
-    _unital_associative(
-        rep, names, sparse.rows(c.comult), sparse.vector(c.counit.row(0)), c, dual=True
-    )
+    comult, counit = sparse.rows(c.comult), sparse.vector(c.counit.row(0))
+    _unital_associative(rep, _COALGEBRA, comult, counit, c, dual=True)
     return rep
 
 
-def check_bialgebra(b: BialgebraSC) -> VerificationReport:
+def read_sparse(b: BialgebraSC) -> tuple:
+    """The structure maps of ``b`` read once: the sparse columns of ``mult``
+    and ``comult``, the unit and counit vectors and, for a Hopf algebra, the
+    columns of the antipode (else None)."""
+    s = getattr(b, "antipode", None)
+    return (sparse.columns(b.mult), sparse.columns(b.comult), sparse.vector(b.unit.col(0)),
+            sparse.vector(b.counit.row(0)), None if s is None else sparse.columns(s))
+
+
+def check_bialgebra(b: BialgebraSC, maps: Optional[tuple] = None) -> VerificationReport:
+    """The algebra, coalgebra and compatibility axioms of ``b``; ``maps`` is
+    ``read_sparse(b)`` when the caller has already read it."""
     rep = VerificationReport("bialgebra")
-    rep.merge(check_algebra(b.algebra))
-    rep.merge(check_coalgebra(b.coalgebra))
+    mult, comult, unit, counit, _ = maps or read_sparse(b)
+    _unital_associative(rep, _ALGEBRA, mult, unit, b, dual=False)
+    _unital_associative(rep, _COALGEBRA, sparse.transpose(comult, b.dim ** 2), counit, b, dual=True)
     k = sparse.Kernel(b.field, b.dim, b.parity)
-    mult, comult = sparse.columns(b.mult), sparse.columns(b.comult)
-    unit, counit = sparse.vector(b.unit.col(0)), sparse.vector(b.counit.row(0))
     lab2 = tensor_label(b.basis_names, 2)
     matrix_axiom(rep, "compat.comult_mult", *k.comult_mult(mult, comult), lab2, lab2)
     matrix_axiom(rep, "compat.comult_unit", *k.comult_unit(comult, unit), lab2)
@@ -229,10 +239,11 @@ def check_bialgebra(b: BialgebraSC) -> VerificationReport:
 
 def check_hopf(h: HopfAlgebraSC) -> VerificationReport:
     rep = VerificationReport("hopf")
-    rep.merge(check_bialgebra(h.bialgebra))
+    maps = read_sparse(h)
+    rep.merge(check_bialgebra(h, maps))
+    mult, comult, unit, counit, s = maps
     k = sparse.Kernel(h.field, h.dim)
-    mult, comult, s = sparse.columns(h.mult), sparse.columns(h.comult), sparse.columns(h.antipode)
-    target = k.unit_counit(sparse.vector(h.unit.col(0)), sparse.vector(h.counit.row(0)))
+    target = k.unit_counit(unit, counit)
     lab1 = tensor_label(h.basis_names, 1)
     matrix_axiom(rep, "antipode.left", k.antipode(mult, comult, s, left=True), target, lab1, lab1)
     matrix_axiom(rep, "antipode.right", k.antipode(mult, comult, s, left=False), target, lab1, lab1)
@@ -327,24 +338,23 @@ def solve_antipode(b: BialgebraSC) -> Optional[Matrix]:
     satisfying both convolution-inverse axioms is unique, so the solution, if
     it verifies, is the antipode.
     """
-    f = b.field
-    n = b.dim
-    ident = Matrix.identity(f, n)
-    columns = []
-    for r in range(n):
-        for c in range(n):
-            basis_mat = Matrix.from_rows(
-                f, [[1 if (i, j) == (r, c) else 0 for j in range(n)] for i in range(n)]
-            )
-            image = b.mult @ tensor(basis_mat, ident) @ b.comult
-            columns.append(image.flat())
-    system = Matrix.from_rows(f, columns).transpose()  # n^2 x n^2
-    target = (b.unit @ b.counit).flat()
-    flat = solve_particular(system, target)
+    f, n = b.field, b.dim
+    mult, comult, unit, counit, _ = read_sparse(b)
+    k = sparse.Kernel(f, n)
+    # Column (r, c) of the system is m (E_rc (x) id) Delta, flattened row-major:
+    # its entry (l, j) is the sum over y of Delta(e_j)[c, y] m(e_r, e_y)[l].
+    system: sparse.Columns = [{} for _ in range(n * n)]
+    for j in range(n):
+        for cy, d in comult[j].items():
+            c, y = divmod(cy, n)
+            for r in range(n):
+                col = system[r * n + c]
+                for l, v in mult[r * n + y].items():
+                    col[l * n + j] = col.get(l * n + j, 0) + d * v
+    target = {a * n + i: x for (a, i), x in k.unit_counit(unit, counit)().items()}  # u e, flattened
+    flat = solve_particular(sparse.matrix(f, n * n, system), sparse.dense(f, n * n, target))
     if flat is None:
         return None
-    s = Matrix(f, n, n, tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n)))
-    right = b.mult @ tensor(ident, s) @ b.comult
-    if right != b.unit @ b.counit:
-        return None
-    return s
+    s = Matrix(f, n, n, tuple(flat[i * n : i * n + n] for i in range(n)))
+    right = k.antipode(mult, comult, sparse.columns(s), left=False)()
+    return s if right == k.unit_counit(unit, counit)() else None

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from .errors import InvalidStructureError, ShapeError
 from .fields import FieldSpec, same_field
 from .hopf import AlgebraSC, CoalgebraSC, check_algebra, check_coalgebra, default_names, require_valid, tensor_label
-from .linalg import Matrix, Parity, swap_map, tensor
+from .linalg import Matrix, Parity, tensor
 from . import sparse
 from .report import VerificationReport, matrix_axiom
 
@@ -99,11 +99,11 @@ def commutator_lie(a: AlgebraSC, validate: bool = True) -> LieAlgebraSC:
     """The commutator Lie algebra of an associative algebra: m - m c."""
     if validate:
         require_valid(a, check_algebra, "commutator_lie input")
-    c = swap_map(a.field, a.dim, a.dim, a.parity, a.parity)
+    k = sparse.Kernel(a.field, a.dim, a.parity)
     return LieAlgebraSC(
         field=a.field,
         dim=a.dim,
-        bracket=a.mult - a.mult @ c,
+        bracket=sparse.matrix(a.field, a.dim, k.braided(sparse.columns(a.mult), -1)),
         parity=a.parity,
         basis_names=a.basis_names,
     )
@@ -113,11 +113,11 @@ def cocommutator_lie_coalgebra(c: CoalgebraSC, validate: bool = True) -> LieCoal
     """The commutator Lie cobracket of a coalgebra: Delta - c Delta."""
     if validate:
         require_valid(c, check_coalgebra, "cocommutator input")
-    sw = swap_map(c.field, c.dim, c.dim, c.parity, c.parity)
+    k = sparse.Kernel(c.field, c.dim, c.parity)
     return LieCoalgebraSC(
         field=c.field,
         dim=c.dim,
-        cobracket=c.comult - sw @ c.comult,
+        cobracket=sparse.matrix(c.field, c.dim, k.braided(sparse.rows(c.comult), -1)).transpose(),
         parity=c.parity,
         basis_names=c.basis_names,
     )

@@ -230,27 +230,19 @@ def apply_middle_swap(
     parity_a: Optional[Parity] = None,
     parity_b: Optional[Parity] = None,
 ) -> Matrix:
-    """Compose ``id_X (x) c_{A,B} (x) id_Y`` with ``m``, by permuting rows.
-
-    ``m``'s rows must be indexed by the flattened X (x) A (x) B (x) Y; the
-    braiding is a signed permutation, so applying it row-by-row avoids ever
-    materializing the quartic-size matrix.
-    """
+    """Compose ``id_X (x) c_{A,B} (x) id_Y`` with ``m``, whose rows are indexed
+    by X (x) A (x) B (x) Y: the braiding is a signed permutation of rows."""
     if m.rows != dim_x * dim_a * dim_b * dim_y:
         raise ShapeError("row count does not factor as X*A*B*Y")
-    pa = parity_a if parity_a is not None else all_even(dim_a)
-    pb = parity_b if parity_b is not None else all_even(dim_b)
-    neg = m.field.neg
+    pa, pb = parity_a or all_even(dim_a), parity_b or all_even(dim_b)
     out: list = [None] * m.rows
-    for x in range(dim_x):
-        for a in range(dim_a):
-            for b in range(dim_b):
-                src = ((x * dim_a + a) * dim_b + b) * dim_y
-                dst = ((x * dim_b + b) * dim_a + a) * dim_y
-                flip = pa[a] and pb[b]
-                for y in range(dim_y):
-                    row = m.data[src + y]
-                    out[dst + y] = tuple(neg(v) for v in row) if flip else row
+    for src in range(m.rows):
+        xab, y = divmod(src, dim_y)
+        xa, b = divmod(xab, dim_b)
+        x, a = divmod(xa, dim_a)
+        row = m.data[src]
+        flipped = tuple(map(m.field.neg, row)) if pa[a] and pb[b] else row
+        out[((x * dim_b + b) * dim_a + a) * dim_y + y] = flipped
     return Matrix(m.field, m.rows, m.cols, tuple(out))
 
 
@@ -319,9 +311,14 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    """The solution space {x : m x = 0} in canonical form."""
+    """The solution space {x : m x = 0} in canonical form.
+
+    It depends only on the row space of ``m``, so only the distinct nonzero
+    rows enter the elimination.
+    """
     f = m.field
-    red, pivots = rref(m)
+    rows = tuple(dict.fromkeys(r for r in m.data if any(r)))
+    red, pivots = rref(Matrix(f, len(rows), m.cols, rows))
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     gens = []

@@ -29,17 +29,17 @@ from typing import List, Tuple
 
 from .errors import InvariantViolation
 from .hopf import HopfAlgebraSC, check_hopf, dual_hopf, require_valid
-from .lie import LieAlgebraSC, LieCoalgebraSC, check_lie, check_lie_coalgebra, dual_lie, lie_morphism_check
-from .linalg import (
-    Matrix,
-    QuotientSpace,
-    Subspace,
-    nullspace,
-    quotient,
-    rank,
-    subspace_parities,
-    tensor,
+from .lie import (
+    LieAlgebraSC,
+    LieCoalgebraSC,
+    check_lie,
+    check_lie_coalgebra,
+    cocommutator_lie_coalgebra,
+    dual_lie,
+    lie_morphism_check,
 )
+from .linalg import Matrix, QuotientSpace, Subspace, nullspace, quotient, rank, subspace_parities
+from . import sparse
 
 
 @dataclass(frozen=True)
@@ -67,33 +67,27 @@ class IndecomposableSpace:
     lie_co: LieCoalgebraSC
 
 
-def commutator_bracket_matrix(h: HopfAlgebraSC) -> Matrix:
-    return h.mult - h.mult @ h.braiding
-
-
 def cocommutator_matrix(h: HopfAlgebraSC) -> Matrix:
-    return h.comult - h.braiding @ h.comult
+    return cocommutator_lie_coalgebra(h.coalgebra, validate=False).cobracket
 
 
 def _restricted_bracket(h: HopfAlgebraSC, space: Subspace, where: str) -> LieAlgebraSC:
     """Commutator bracket of H restricted to a subspace, with closure certified."""
-    f = h.field
-    bracket_h = commutator_bracket_matrix(h)
-    basis = space.basis.data
+    f, n = h.field, h.dim
+    k = sparse.Kernel(f, n, h.parity)
+    bracket_h = k.braided(sparse.columns(h.mult), -1)
+    basis = [sparse.vector(v) for v in space.basis.data]
     p = len(basis)
     cols = []
     for a in range(p):
         for b in range(p):
-            va = Matrix.column(f, basis[a])
-            vb = Matrix.column(f, basis[b])
-            w = bracket_h @ tensor(va, vb)
-            wvec = w.col(0)
-            if not space.contains(wvec):
+            w = sparse.dense(f, n, k.product(bracket_h, basis[a], basis[b]))
+            if not space.contains(w):
                 raise InvariantViolation(
                     f"{where}: bracket of basis vectors {a},{b} leaves the subspace"
                 )
-            cols.append(space.coordinates_of(wvec))
-    bracket = Matrix(f, p, p * p, tuple(tuple(cols[k][i] for k in range(p * p)) for i in range(p)))
+            cols.append(space.coordinates_of(w))
+    bracket = Matrix(f, p, p * p, tuple(tuple(cols[c][i] for c in range(p * p)) for i in range(p)))
     lie = LieAlgebraSC(
         field=f,
         dim=p,
@@ -111,9 +105,13 @@ def primitives(h: HopfAlgebraSC, validate: bool = True) -> PrimitiveSpace:
     if validate:
         require_valid(h, check_hopf, "primitives input")
     f, n = h.field, h.dim
-    ident = Matrix.identity(f, n)
-    system = h.comult - tensor(h.unit, ident) - tensor(ident, h.unit)  # n^2 x n
-    space = nullspace(system)
+    # Row (a, b) of Delta - 1 (x) id - id (x) 1, from the rows of Delta.
+    system = sparse.rows(h.comult)
+    for a, u in sparse.vector(h.unit.col(0)).items():
+        for j in range(n):
+            for row in (system[a * n + j], system[j * n + a]):
+                row[j] = row.get(j, 0) - u
+    space = nullspace(sparse.matrix(f, n, system).transpose())
     lie = _restricted_bracket(h, space, "primitives")
     return PrimitiveSpace(parent=h, space=space, lie=lie)
 
@@ -123,12 +121,12 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
     if validate:
         require_valid(h, check_hopf, "indecomposables input")
     f, n = h.field, h.dim
+    k = sparse.Kernel(f, n, h.parity)
+    mult = sparse.columns(h.mult)
     ker_eps = nullspace(h.counit)
-    products = []
-    for a in ker_eps.basis.data:
-        for b in ker_eps.basis.data:
-            prod = h.mult @ tensor(Matrix.column(f, a), Matrix.column(f, b))
-            products.append(prod.col(0))
+    kv = [sparse.vector(v) for v in ker_eps.basis.data]
+    # The products of basis pairs span (ker e)^2; repeats and zeros add nothing.
+    products = {sparse.dense(f, n, xy) for a in kv for b in kv if (xy := k.product(mult, a, b))}
     ker_eps_sq = Subspace.from_vectors(f, n, products)
     if not ker_eps_sq.is_subspace_of(ker_eps):
         raise InvariantViolation("(ker e)^2 not contained in ker e")
@@ -140,15 +138,20 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
     normalize = Matrix.identity(f, n) - h.unit @ h.counit
     if pi @ normalize != pi:
         raise InvariantViolation("projection does not absorb the counit normalization")
-    upsilon_h = cocommutator_matrix(h)
-    upsilon_q = tensor(pi, pi) @ upsilon_h @ quot.section
-    if upsilon_q @ pi != tensor(pi, pi) @ upsilon_h:
+    # upsilon_Q = (pi (x) pi) upsilon_H section, column by column on the
+    # nonzeros of the cocommutator upsilon_H = Delta - c Delta.
+    q, pi_cols = quot.dim, sparse.columns(pi)
+    upsilon_h = sparse.transpose(k.braided(sparse.rows(h.comult), -1), n)
+    pushed = [k.apply_pair(pi_cols, y, q) for y in upsilon_h]  # (pi (x) pi) upsilon_H
+    upsilon_q = [k.apply(pushed, s) for s in sparse.columns(quot.section)]
+    if any(k.apply(upsilon_q, x) != y for x, y in zip(pi_cols, pushed)):
         raise InvariantViolation("commutator cobracket does not factor through pi")
     q_parity = None
     if h.parity is not None:
         free = [c for c in range(n) if c not in set(kernel.pivots)]
         q_parity = tuple(h.parity[c] for c in free)
-    lie_co = LieCoalgebraSC(field=f, dim=quot.dim, cobracket=upsilon_q, parity=q_parity)
+    cobracket = sparse.matrix(f, q * q, upsilon_q)
+    lie_co = LieCoalgebraSC(field=f, dim=q, cobracket=cobracket, parity=q_parity)
     rep = check_lie_coalgebra(lie_co)
     if not rep.ok:
         raise InvariantViolation("induced cobracket fails Lie coalgebra axioms")

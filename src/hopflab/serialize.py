@@ -271,6 +271,8 @@ def _parity_of(data: dict):
 
 
 def from_jsonable(data: dict, kind: Optional[str] = None):
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     kind = kind or data.get("kind")
     if kind == "lie-coalgebra":
         kind = "liecoalg"

@@ -1,4 +1,5 @@
-"""Sparse evaluation of the structure-constant axioms on basis tuples.
+"""Sparse evaluation of structure maps on basis tuples: the axioms and the
+invariants built from them.
 
 A structure map is read into its nonzero columns, each a sparse vector
 ``{row: coefficient}``: column ``i * n + j`` of a multiplication or bracket
@@ -10,16 +11,21 @@ nonzero entries of the dense matrix the axiom equates, keyed by their
 ``(row, col)`` position under the Kronecker index convention of
 :mod:`hopflab.linalg`.  Every entry comes from one basis tuple, so no
 Kronecker product or other dense intermediate is built and the cost follows
-the number of nonzero structure constants.
+the number of nonzero structure constants.  Given ``at = (cols, row)``, a
+side is only the block of its matrix on the columns ``cols``, renumbered
+from 0, with each row ``r`` re-keyed to ``row(r)``: a graded axiom is such a
+block of an axiom of the total algebra.
 
 Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
 by running the algebra axioms on :func:`rows` of its comultiplication (the
 columns of the transposed matrix), and ``matrix_axiom(..., transposed=True)``
-reports the witness on the coalgebra's matrices.
+reports the witness on the coalgebra's matrices.  The braiding is a signed
+permutation of basis tuples (:meth:`Kernel.braided`), never a matrix.
 
 Scalars are plain Python numbers during evaluation: integral rationals are
 read as ``int`` (equal values, far cheaper arithmetic) and prime-field
-residues are reduced once per finished entry.
+residues are reduced once per finished entry.  :func:`dense` and
+:func:`matrix` turn results back into canonical field scalars.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ Vector = Dict[int, Scalar]  # index -> coefficient
 Columns = List[Vector]  # one sparse vector per matrix column
 Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
 Side = Callable[[], Entries]
+Block = Tuple[Sequence[int], Optional[Callable[[int], int]]]  # (columns, row re-keying)
 
 
 def _plain(x: Scalar) -> Scalar:
@@ -55,21 +62,36 @@ def rows(m: Matrix) -> Columns:
     return [{c: _plain(x) for c, x in enumerate(row) if x != 0} for row in m.data]
 
 
+def transpose(cols: Columns, height: int) -> Columns:
+    """The columns of the transpose of the ``height``-row matrix with columns ``cols``."""
+    out: Columns = [{} for _ in range(height)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            out[r][c] = x
+    return out
+
+
 def vector(values: Sequence[Scalar]) -> Vector:
     return {i: _plain(x) for i, x in enumerate(values) if x != 0}
+
+
+def dense(field: FieldSpec, n: int, v: Vector) -> Tuple[Scalar, ...]:
+    """``v`` as a length-``n`` tuple of canonical scalars."""
+    return tuple(field.coerce(v.get(i, 0)) for i in range(n))
+
+
+def matrix(field: FieldSpec, height: int, cols: Columns) -> Matrix:
+    """The dense matrix with ``height`` rows and the sparse columns ``cols``."""
+    data = [[field.zero] * len(cols) for _ in range(height)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            data[r][c] = field.coerce(x)
+    return Matrix(field, height, len(cols), tuple(map(tuple, data)))
 
 
 def zero() -> Entries:
     """The zero matrix, as a side."""
     return {}
-
-
-def _column(v: Vector) -> Entries:
-    return {(r, 0): x for r, x in v.items()}
-
-
-def _row(v: Vector) -> Entries:
-    return {(0, c): x for c, x in v.items()}
 
 
 class Kernel:
@@ -109,42 +131,69 @@ class Kernel:
                 acc[k] = acc.get(k, 0) + a * c
         return self.finish(acc)
 
+    def apply_pair(self, f: Columns, x: Vector, width: int) -> Vector:
+        """``(f (x) f) x`` for ``x`` in H (x) H, where f has ``width`` rows."""
+        n, acc = self.n, {}
+        for ab, v in x.items():
+            a, b = divmod(ab, n)
+            for s, y in f[a].items():
+                for t, z in f[b].items():
+                    acc[s * width + t] = acc.get(s * width + t, 0) + v * y * z
+        return self.finish(acc)
+
     def outer(self, x: Vector, y: Vector) -> Vector:
         """``x (x) y`` in flat coordinates."""
         n = self.n
         return self.finish({a * n + b: s * t for a, s in x.items() for b, t in y.items()})
 
-    def identity(self) -> Entries:
-        """The identity matrix, as a side."""
-        return {(i, i): 1 for i in range(self.n)}
+    def braided(self, b: Columns, s: int) -> Columns:
+        """The columns of ``b + s * b c`` for a map ``b`` out of H (x) H and the
+        braiding c: column (i, j) is b[ij] + s sign(i, j) b[ji].  With s = -1
+        this is the commutator of a multiplication, and, run on the rows of a
+        comultiplication, the rows of its cocommutator."""
+        return [self._braided_column(b, s, ij) for ij in range(self.n * self.n)]
 
-    def _by_column(self, column: Callable[[int], Vector], count: int) -> Entries:
-        return {(k, c): v for c in range(count) for k, v in column(c).items()}
+    def _braided_column(self, b: Columns, s: int, ij: int) -> Vector:
+        i, j = divmod(ij, self.n)
+        acc = dict(b[ij])
+        sg = s * self.sign(i, j)
+        for k, v in b[j * self.n + i].items():
+            acc[k] = acc.get(k, 0) + sg * v
+        return self.finish(acc)
+
+    def side(self, column: Callable[[int], Vector], count: int, at: Optional[Block] = None) -> Side:
+        """The side whose column ``c < count`` is ``column(c)``, or its block ``at``."""
+        if at is None:
+            return lambda: {(r, c): v for c in range(count) for r, v in column(c).items()}
+        cols, row = at
+        row = row or (lambda r: r)
+        return lambda: {(row(r), j): v for j, c in enumerate(cols) for r, v in column(c).items()}
+
+    def identity(self, at: Optional[Block] = None) -> Side:
+        """The identity matrix, as a side."""
+        return self.side(lambda i: {i: 1}, self.n, at)
 
     # -- algebra axioms ----------------------------------------------------------
 
-    def associativity(self, m: Columns) -> Tuple[Side, Side]:
+    def associativity(self, m: Columns, at: Optional[Block] = None) -> Tuple[Side, Side]:
         """m (m (x) id) against m (id (x) m); column (i, j, l) is e_i e_j e_l."""
         n = self.n
-
         return (
-            lambda: self._by_column(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3),
-            lambda: self._by_column(
-                lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3
-            ),
+            self.side(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3, at),
+            self.side(lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3, at),
         )
 
-    def unit_left(self, m: Columns, unit: Vector) -> Side:
+    def unit_left(self, m: Columns, unit: Vector, at: Optional[Block] = None) -> Side:
         """m (u (x) id): column j is u e_j."""
-        return lambda: self._by_column(lambda j: self.product(m, unit, {j: 1}), self.n)
+        return self.side(lambda j: self.product(m, unit, {j: 1}), self.n, at)
 
-    def unit_right(self, m: Columns, unit: Vector) -> Side:
+    def unit_right(self, m: Columns, unit: Vector, at: Optional[Block] = None) -> Side:
         """m (id (x) u): column i is e_i u."""
-        return lambda: self._by_column(lambda i: self.product(m, {i: 1}, unit), self.n)
+        return self.side(lambda i: self.product(m, {i: 1}, unit), self.n, at)
 
     # -- bialgebra and Hopf axioms -----------------------------------------------
 
-    def comult_mult(self, m: Columns, d: Columns) -> Tuple[Side, Side]:
+    def comult_mult(self, m: Columns, d: Columns, at: Optional[Block] = None) -> Tuple[Side, Side]:
         """Delta m against (m (x) m)(id (x) c (x) id)(Delta (x) Delta); column (i, j).
 
         The right side multiplies Delta(e_i) by Delta(e_j) in H (x) H, where
@@ -166,31 +215,28 @@ class Kernel:
                             acc[s * n + t] = acc.get(s * n + t, 0) + ab * c * e
             return self.finish(acc)
 
-        return (
-            lambda: self._by_column(lambda ij: self.apply(d, m[ij]), n * n),
-            lambda: self._by_column(rhs_column, n * n),
-        )
+        lhs = self.side(lambda ij: self.apply(d, m[ij]), n * n, at)
+        return lhs, self.side(rhs_column, n * n, at)
 
-    def comult_unit(self, d: Columns, unit: Vector) -> Tuple[Side, Side]:
+    def comult_unit(self, d: Columns, unit: Vector, at: Optional[Block] = None):
         """Delta u against u (x) u."""
-        return lambda: _column(self.apply(d, unit)), lambda: _column(self.outer(unit, unit))
+        return (self.side(lambda _: self.apply(d, unit), 1, at),
+                self.side(lambda _: self.outer(unit, unit), 1, at))
 
-    def counit_mult(self, m: Columns, counit: Vector) -> Tuple[Side, Side]:
-        """e m against e (x) e."""
-        return (
-            lambda: _row(self.finish(
-                {ij: sum(counit.get(k, 0) * c for k, c in col.items()) for ij, col in enumerate(m)})),
-            lambda: _row(self.outer(counit, counit)),
-        )
+    def counit_mult(self, m: Columns, counit: Vector, at: Optional[Block] = None):
+        """e m against e (x) e; column (i, j)."""
+        n, eps = self.n, counit.get
+        lhs = lambda ij: self.finish({0: sum(eps(k, 0) * c for k, c in m[ij].items())})
+        rhs = lambda ij: self.finish({0: eps(ij // n, 0) * eps(ij % n, 0)})
+        return self.side(lhs, n * n, at), self.side(rhs, n * n, at)
 
     def counit_unit(self, unit: Vector, counit: Vector) -> Tuple[Side, Side]:
         """e u against 1."""
-        return (
-            lambda: _column(self.finish({0: sum(x * counit.get(k, 0) for k, x in unit.items())})),
-            lambda: {(0, 0): 1},
-        )
+        value = lambda _: self.finish({0: sum(x * counit.get(k, 0) for k, x in unit.items())})
+        return self.side(value, 1), self.side(lambda _: {0: 1}, 1)
 
-    def antipode(self, m: Columns, d: Columns, s: Columns, left: bool) -> Side:
+    def antipode(self, m: Columns, d: Columns, s: Columns, left: bool,
+                 at: Optional[Block] = None) -> Side:
         """m (S (x) id) Delta when ``left``, else m (id (x) S) Delta; column i."""
         n = self.n
 
@@ -203,27 +249,18 @@ class Kernel:
                     acc[k] = acc.get(k, 0) + c * v
             return self.finish(acc)
 
-        return lambda: self._by_column(column, n)
+        return self.side(column, n, at)
 
-    def unit_counit(self, unit: Vector, counit: Vector) -> Side:
-        """u e, the target of both antipode axioms."""
-        return lambda: self.finish(
-            {(a, i): x * y for a, x in unit.items() for i, y in counit.items()})
+    def unit_counit(self, unit: Vector, counit: Vector, at: Optional[Block] = None) -> Side:
+        """u e, the target of both antipode axioms; column i."""
+        return self.side(lambda i: self.finish({a: x * counit.get(i, 0) for a, x in unit.items()}),
+                         self.n, at)
 
     # -- Lie axioms --------------------------------------------------------------
 
     def antisymmetry(self, b: Columns) -> Side:
         """[-,-](id + c): column (i, j) is [e_i, e_j] + sign(i, j) [e_j, e_i]."""
-        n = self.n
-
-        def column(ij: int) -> Vector:
-            i, j = divmod(ij, n)
-            acc = dict(b[ij])
-            for k, v in b[j * n + i].items():
-                acc[k] = acc.get(k, 0) + self.sign(i, j) * v
-            return self.finish(acc)
-
-        return lambda: self._by_column(column, n * n)
+        return self.side(lambda ij: self._braided_column(b, 1, ij), self.n * self.n)
 
     def jacobi(self, b: Columns) -> Side:
         """[-,-](id (x) [-,-])(id + t_c + w_c); column (i, j, l).
@@ -249,6 +286,6 @@ class Kernel:
                         acc[k] = acc.get(k, 0) + sg * v
                 return self.finish(acc)
 
-            return self._by_column(column, n ** 3)
+            return self.side(column, n ** 3)()
 
         return lhs

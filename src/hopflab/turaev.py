@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidStructureError, InvariantViolation, ShapeError
 from .fields import FieldSpec, same_field
@@ -28,8 +28,8 @@ from .hopf import (
     HopfAlgebraSC,
     check_algebra,
     check_coalgebra,
-    check_hopf,
     dual_name,
+    read_sparse,
     require_valid,
 )
 from .lie import (
@@ -39,20 +39,12 @@ from .lie import (
     LieCoalgebraSC,
     check_lie,
     check_lie_coalgebra,
-    commutator_lie,
     dual_lie,
     lie_morphism_check,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    apply_middle_swap,
-    nullspace,
-    rank,
-    solve_particular,
-    tensor,
-)
+from .linalg import Matrix, Subspace, nullspace, rank, solve_particular
 from .primitives import IndecomposableSpace, indecomposables, primitives
+from . import sparse
 from .report import AxiomCheck, VerificationReport, matrix_axiom
 
 
@@ -247,10 +239,6 @@ class HopfGroupCoalgebra(_GradedFamily):
     _DUAL = True
 
 
-def _gname(grp: FiniteGroup, g: int) -> str:
-    return grp.element_names[g]
-
-
 # The group-coalgebra axiom that each group-algebra axiom of its dagger transposes.
 _DUAL_NAMES = {
     "assoc": "coassoc",
@@ -278,69 +266,53 @@ def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, du
     """The axioms of the Hopf group-algebra ``h``, with ``components`` checked
     by ``check_component``.  With ``dual``, ``h`` is the dagger of the
     group-coalgebra being checked: every axiom is reported under its dual name
-    with the witness on the group-coalgebra's own matrices."""
+    with the witness on the group-coalgebra's own matrices.
+
+    Each graded axiom is one block of the matching axiom of the total Hopf
+    algebra (the direct sum of the components), so it is evaluated by the
+    sparse kernel on the total's structure maps, on that block's columns
+    only, in block coordinates."""
     grp = h.group
     rep.merge(check_group(grp), "group.")
     if not rep.ok:
         return rep
+    nm = grp.element_names
+    for g in grp.elements():
+        rep.merge(check_component(components[g]), f"H[{nm[g]}].")
     names = _DUAL_NAMES if dual else {}
+    dims, off, e = h.dims, _offsets(h.dims), grp.identity
+    total = total_hopf(h, validate=False)
+    n = total.dim
+    mult, comult, unit, counit, s = read_sparse(total)
+    k = sparse.Kernel(h.field, n)
+    spans = [range(off[g], off[g + 1]) for g in grp.elements()]
+    # Re-key a row of the total into H_g, or into H_g (x) H_g.
+    into = [lambda r, t=off[g]: r - t for g in grp.elements()]
+    into2 = [lambda r, t=off[g], d=dims[g]: (r // n - t) * d + r % n - t for g in grp.elements()]
 
     def axiom(stem, suffix, lhs, rhs):
         matrix_axiom(rep, names.get(stem, stem) + suffix, lhs, rhs, transposed=dual)
 
-    f = h.field
-    dims = h.dims
-    e = grp.identity
+    for g, kk, l in itertools.product(grp.elements(), repeat=3):
+        cols = [(a * n + b) * n + c for a in spans[g] for b in spans[kk] for c in spans[l]]
+        axiom("assoc", f"[{nm[g]},{nm[kk]},{nm[l]}]",
+              *k.associativity(mult, (cols, into[grp.mul(grp.mul(g, kk), l)])))
     for g in grp.elements():
-        rep.merge(check_component(components[g]), f"H[{_gname(grp, g)}].")
-    idm = [Matrix.identity(f, d) for d in dims]
-    mu = h.graded_mult
+        at = (spans[g], into[g])
+        axiom("unit", f".right[{nm[g]}]", k.unit_right(mult, unit, at), k.identity(at))
+        axiom("unit", f".left[{nm[g]}]", k.unit_left(mult, unit, at), k.identity(at))
+    for g, kk in itertools.product(grp.elements(), repeat=2):
+        cols = [a * n + b for a in spans[g] for b in spans[kk]]
+        axiom("mult_coalg_morphism", f"[{nm[g]},{nm[kk]}]",
+              *k.comult_mult(mult, comult, (cols, into2[grp.mul(g, kk)])))
+        axiom("mult_counit", f"[{nm[g]},{nm[kk]}]", *k.counit_mult(mult, counit, (cols, None)))
+    axiom("unit_coalg_morphism", "", *k.comult_unit(comult, unit, ([0], into2[e])))
+    axiom("unit_counit", "", *k.counit_unit(unit, counit))
     for g in grp.elements():
-        for k in grp.elements():
-            for l in grp.elements():
-                gk = grp.mul(g, k)
-                kl = grp.mul(k, l)
-                axiom(
-                    "assoc",
-                    f"[{_gname(grp, g)},{_gname(grp, k)},{_gname(grp, l)}]",
-                    lambda: mu[gk][l] @ tensor(mu[g][k], idm[l]),
-                    lambda: mu[g][kl] @ tensor(idm[g], mu[k][l]),
-                )
-    for g in grp.elements():
-        axiom("unit", f".right[{_gname(grp, g)}]", lambda: mu[g][e] @ tensor(idm[g], h.unit), lambda: idm[g])
-        axiom("unit", f".left[{_gname(grp, g)}]", lambda: mu[e][g] @ tensor(h.unit, idm[g]), lambda: idm[g])
-    for g in grp.elements():
-        for k in grp.elements():
-            gk = grp.mul(g, k)
-            cg, ck, cgk = h.components[g], h.components[k], h.components[gk]
-            pair = f"[{_gname(grp, g)},{_gname(grp, k)}]"
-            axiom(
-                "mult_coalg_morphism",
-                pair,
-                lambda: cgk.comult @ mu[g][k],
-                lambda: tensor(mu[g][k], mu[g][k])
-                @ apply_middle_swap(tensor(cg.comult, ck.comult), dims[g], dims[g], dims[k], dims[k]),
-            )
-            axiom("mult_counit", pair, lambda: cgk.counit @ mu[g][k], lambda: tensor(cg.counit, ck.counit))
-    ce = h.components[e]
-    axiom("unit_coalg_morphism", "", lambda: ce.comult @ h.unit, lambda: tensor(h.unit, h.unit))
-    axiom("unit_counit", "", lambda: ce.counit @ h.unit, lambda: Matrix.from_rows(f, [[1]]))
-    for g in grp.elements():
-        gi = grp.inv(g)
-        cg = h.components[g]
-        target = h.unit @ cg.counit
-        axiom(
-            "antipode",
-            f".left[{_gname(grp, g)}]",
-            lambda: mu[gi][g] @ tensor(h.antipodes[g], idm[g]) @ cg.comult,
-            lambda: target,
-        )
-        axiom(
-            "antipode",
-            f".right[{_gname(grp, g)}]",
-            lambda: mu[g][gi] @ tensor(idm[g], h.antipodes[g]) @ cg.comult,
-            lambda: target,
-        )
+        at = (spans[g], into[e])
+        target = k.unit_counit(unit, counit, at)
+        axiom("antipode", f".left[{nm[g]}]", k.antipode(mult, comult, s, True, at), target)
+        axiom("antipode", f".right[{nm[g]}]", k.antipode(mult, comult, s, False, at), target)
     return rep
 
 
@@ -393,74 +365,41 @@ def total_hopf(h: HopfGroupAlgebra, validate: bool = True) -> HopfAlgebraSC:
     """The direct sum of all components as one ordinary Hopf algebra.
 
     The multiplication is assembled from the graded blocks, the coalgebra
-    structure and antipode act blockwise; the grading is forgotten.
+    structure and antipode act blockwise; the grading is forgotten.  Only the
+    input is checked: each axiom of the output is, block by block, a graded
+    axiom of the input.
     """
     if validate:
         require_valid(h, check_hopf_group_algebra, "total_hopf input")
-    grp = h.group
-    f = h.field
-    dims = h.dims
+    grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
     n = off[-1]
-    names = tuple(name for c in h.components for name in c.basis_names)
-    zero = f.zero
-
-    mult = [[zero] * (n * n) for _ in range(n)]
+    mult: sparse.Columns = [{} for _ in range(n * n)]
+    comult: sparse.Columns = [{} for _ in range(n)]
+    antipode: sparse.Columns = [{} for _ in range(n)]
     for g in grp.elements():
+        d = dims[g]
         for k in grp.elements():
-            gk = grp.mul(g, k)
-            block = h.graded_mult[g][k]
-            for a in range(dims[g]):
-                for b in range(dims[k]):
-                    col = (off[g] + a) * n + (off[k] + b)
-                    for c in range(dims[gk]):
-                        v = block.data[c][a * dims[k] + b]
-                        if v != 0:
-                            mult[off[gk] + c][col] = v
-
-    comult = [[zero] * n for _ in range(n * n)]
-    counit = [zero] * n
-    for g in grp.elements():
-        cg = h.components[g]
-        for a in range(dims[g]):
-            col = off[g] + a
-            for c in range(dims[g]):
-                for d in range(dims[g]):
-                    v = cg.comult.data[c * dims[g] + d][a]
-                    if v != 0:
-                        comult[(off[g] + c) * n + (off[g] + d)][col] = v
-            counit[col] = cg.counit.data[0][a]
-
-    unit = [zero] * n
+            gk = off[grp.mul(g, k)]
+            for ab, col in enumerate(sparse.columns(h.graded_mult[g][k])):
+                a, b = divmod(ab, dims[k])
+                mult[(off[g] + a) * n + off[k] + b] = {gk + c: v for c, v in col.items()}
+        for a, col in enumerate(sparse.columns(h.components[g].comult)):
+            comult[off[g] + a] = {(off[g] + c // d) * n + off[g] + c % d: v for c, v in col.items()}
+        for a, col in enumerate(sparse.columns(h.antipodes[g])):
+            antipode[off[g] + a] = {off[grp.inv(g)] + c: v for c, v in col.items()}
     e = grp.identity
-    for c in range(dims[e]):
-        unit[off[e] + c] = h.unit.data[c][0]
-
-    antipode = [[zero] * n for _ in range(n)]
-    for g in grp.elements():
-        gi = grp.inv(g)
-        s = h.antipodes[g]
-        for a in range(dims[g]):
-            for c in range(dims[gi]):
-                v = s.data[c][a]
-                if v != 0:
-                    antipode[off[gi] + c][off[g] + a] = v
-
-    out = HopfAlgebraSC(
+    unit = [f.zero] * off[e] + list(h.unit.col(0)) + [f.zero] * (n - off[e + 1])
+    return HopfAlgebraSC(
         field=f,
         dim=n,
-        basis_names=names,
-        mult=Matrix(f, n, n * n, tuple(tuple(r) for r in mult)),
+        basis_names=tuple(name for c in h.components for name in c.basis_names),
+        mult=sparse.matrix(f, n, mult),
         unit=Matrix.column(f, unit),
-        comult=Matrix(f, n * n, n, tuple(tuple(r) for r in comult)),
-        counit=Matrix.row_vector(f, counit),
-        antipode=Matrix(f, n, n, tuple(tuple(r) for r in antipode)),
+        comult=sparse.matrix(f, n * n, comult),
+        counit=Matrix.row_vector(f, [x for c in h.components for x in c.counit.row(0)]),
+        antipode=sparse.matrix(f, n, antipode),
     )
-    if validate:
-        rep = check_hopf(out)
-        if not rep.ok:
-            raise InvariantViolation("total Hopf algebra fails its axiom check")
-    return out
 
 
 def identity_component_hopf(h) -> HopfAlgebraSC:
@@ -551,33 +490,22 @@ def family_equations(h: HopfGroupCoalgebra) -> Matrix:
     One block row per ordered pair (h, h'), over unknowns in the direct sum
     of all components.
     """
-    grp = h.group
-    f = h.field
-    dims = h.dims
+    grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
-    total = off[-1]
     rows: List[List] = []
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
-            height = dims[a] * dims[b]
-            blocks: Dict[int, Matrix] = {}
-
-            def _acc(idx: int, m: Matrix) -> None:
-                blocks[idx] = blocks[idx] + m if idx in blocks else m
-
-            _acc(ab, h.graded_comult[a][b])
-            _acc(b, -tensor(h.components[a].unit, Matrix.identity(f, dims[b])))
-            _acc(a, -tensor(Matrix.identity(f, dims[a]), h.components[b].unit))
-            for r in range(height):
-                row = [f.zero] * total
-                for idx, m in blocks.items():
-                    for c in range(dims[idx]):
-                        v = m.data[r][c]
-                        if v != 0:
-                            row[off[idx] + c] = v
-                rows.append(row)
-    return Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, total)
+            delta = h.graded_comult[a][b].data
+            ua, ub = h.components[a].unit.col(0), h.components[b].unit.col(0)
+            for i in range(dims[a]):
+                for j in range(dims[b]):
+                    row = [f.zero] * off[-1]
+                    row[off[ab] : off[ab + 1]] = delta[i * dims[b] + j]
+                    row[off[b] + j] = f.sub(row[off[b] + j], ua[i])
+                    row[off[a] + i] = f.sub(row[off[a] + i], ub[j])
+                    rows.append(row)
+    return Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, off[-1])
 
 
 def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimitiveSpace, ...]:
@@ -604,63 +532,54 @@ def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimiti
         if val != 0:
             raise InvariantViolation("counit does not vanish on a solution family")
 
-    brackets = [commutator_lie(a, validate=False).bracket for a in h.components]
-    return tuple(_degree_primitives(h, g, family_space, brackets) for g in grp.elements())
+    kernels = [sparse.Kernel(a.field, a.dim) for a in h.components]
+    brackets = [k.braided(sparse.columns(a.mult), -1) for k, a in zip(kernels, h.components)]
+
+    def bracket(idx: int, x, y) -> Tuple:
+        """The commutator [x, y] in H_idx."""
+        xy = kernels[idx].product(brackets[idx], sparse.vector(x), sparse.vector(y))
+        return sparse.dense(h.field, dims[idx], xy)
+
+    return tuple(_degree_primitives(h, g, family_space, bracket) for g in grp.elements())
 
 
 def _degree_primitives(
-    h: HopfGroupCoalgebra, g: int, family_space: Subspace, brackets: List[Matrix]
+    h: HopfGroupCoalgebra, g: int, family_space: Subspace, bracket
 ) -> GPrimitiveSpace:
-    """The degree-g projection of the joint family space, with its bracket."""
-    grp = h.group
-    f = h.field
-    dims = h.dims
+    """The degree-g projection of the joint family space, with the bracket
+    ``bracket(idx, x, y)`` of each component restricted to it."""
+    grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
-    total = off[-1]
     proj = [row[off[g] : off[g] + dims[g]] for row in family_space.basis.data]
     space = Subspace.from_vectors(f, dims[g], proj)
 
-    fam_rows: List[Tuple] = []
-    if space.dim:
-        coeff = Matrix(
-            f,
-            family_space.dim,
-            dims[g],
-            tuple(tuple(row[off[g] + c] for c in range(dims[g])) for row in family_space.basis.data),
-        ).transpose()  # dims[g] x family_dim
-        for v in space.basis.data:
-            sol = solve_particular(coeff, v)
-            if sol is None:
-                raise InvariantViolation("projection of the family space lost a vector")
-            fam = [f.zero] * total
-            for i, c in enumerate(sol):
-                if c != 0:
-                    fam = [f.add(x, f.mul(c, y)) for x, y in zip(fam, family_space.basis.data[i])]
-            fam_rows.append(tuple(fam))
-    space_families = Matrix(f, len(fam_rows), total, tuple(fam_rows)) if fam_rows else Matrix.zeros(f, 0, total)
+    # The canonical family over each basis vector of the projection.
+    coeff = Matrix(f, family_space.dim, dims[g], tuple(proj)).transpose()  # dims[g] x family_dim
+    sols = []
+    for v in space.basis.data:
+        sol = solve_particular(coeff, v)
+        if sol is None:
+            raise InvariantViolation("projection of the family space lost a vector")
+        sols.append(sol)
+    space_families = Matrix(f, len(sols), family_space.dim, tuple(sols)) @ family_space.basis
 
     p = space.dim
     cols = []
     for i in range(p):
         for j in range(p):
-            va = Matrix.column(f, space.basis.data[i])
-            vb = Matrix.column(f, space.basis.data[j])
-            w = (brackets[g] @ tensor(va, vb)).col(0)
+            w = bracket(g, space.basis.data[i], space.basis.data[j])
             if not space.contains(w):
                 raise InvariantViolation("commutator leaves the degree-g primitive space")
             cols.append(space.coordinates_of(w))
-            fam = []
             xi, xj = space_families.data[i], space_families.data[j]
-            for idx in grp.elements():
-                bi = Matrix.column(f, xi[off[idx] : off[idx] + dims[idx]])
-                bj = Matrix.column(f, xj[off[idx] : off[idx] + dims[idx]])
-                fam.extend((brackets[idx] @ tensor(bi, bj)).col(0))
+            fam = [c for idx in grp.elements()
+                   for c in bracket(idx, xi[off[idx] : off[idx + 1]], xj[off[idx] : off[idx + 1]])]
             if not family_space.contains(fam):
                 raise InvariantViolation("componentwise commutator family is not a solution")
             if tuple(fam[off[g] : off[g] + dims[g]]) != w:
                 raise InvariantViolation("commutator family does not project onto the bracket")
-    bracket = Matrix(f, p, p * p, tuple(tuple(cols[k][i] for k in range(p * p)) for i in range(p)))
-    lie = LieAlgebraSC(field=f, dim=p, bracket=bracket)
+    bracket_g = tuple(tuple(cols[c][i] for c in range(p * p)) for i in range(p))
+    lie = LieAlgebraSC(field=f, dim=p, bracket=Matrix(f, p, p * p, bracket_g))
     rep = check_lie(lie)
     if not rep.ok:
         raise InvariantViolation("restricted bracket fails Lie axioms")
@@ -712,40 +631,28 @@ def g_indecomposables(h: HopfGroupAlgebra, validate: bool = True) -> GIndecompos
         per_g.append(Subspace.from_vectors(f, qdim, cols))
 
     # pi(x y) = pi(x) e(y) + e(x) pi(y) on homogeneous basis pairs.
-    eps = total.counit
+    kt, kq = sparse.Kernel(f, n), sparse.Kernel(f, qdim)
+    pi, mult = sparse.columns(q.pi), sparse.columns(total.mult)
+    eps = sparse.vector(total.counit.row(0))
     for a in range(n):
         for b in range(n):
-            xy = total.mult.col(a * n + b)
-            lhs = q.pi.apply(xy)
-            pa, pb = q.pi.col(a), q.pi.col(b)
-            ea, eb = eps.data[0][a], eps.data[0][b]
-            rhs = tuple(f.add(f.mul(x, eb), f.mul(ea, y)) for x, y in zip(pa, pb))
-            if lhs != rhs:
+            rhs = {t: pi[a].get(t, 0) * eps.get(b, 0) + eps.get(a, 0) * pi[b].get(t, 0)
+                   for t in pi[a].keys() | pi[b].keys()}
+            if kt.apply(pi, mult[a * n + b]) != kt.finish(rhs):
                 raise InvariantViolation("degreewise product rule for pi fails")
 
     per_g_lie = []
-    upsilon_q = q.lie_co.cobracket
+    upsilon_q = sparse.columns(q.lie_co.cobracket)
     for g in grp.elements():
-        w = per_g[g]
-        k = w.dim
+        basis = [sparse.vector(v) for v in per_g[g].basis.data]
+        k = len(basis)
         if k == 0:
             per_g_lie.append(LieCoalgebraSC(field=f, dim=0, cobracket=Matrix.zeros(f, 0, 0)))
             continue
-        kron_cols = []
-        for i in range(k):
-            for j in range(k):
-                kron_cols.append(
-                    tensor(
-                        Matrix.column(f, w.basis.data[i]), Matrix.column(f, w.basis.data[j])
-                    ).col(0)
-                )
-        kron_mat = Matrix(
-            f, qdim * qdim, k * k, tuple(tuple(col[r] for col in kron_cols) for r in range(qdim * qdim))
-        )
+        kron_mat = sparse.matrix(f, qdim * qdim, [kq.outer(x, y) for x in basis for y in basis])
         cob_cols = []
-        for j in range(k):
-            u = (upsilon_q @ Matrix.column(f, w.basis.data[j])).col(0)
-            sol = solve_particular(kron_mat, u)
+        for x in basis:
+            sol = solve_particular(kron_mat, sparse.dense(f, qdim * qdim, kq.apply(upsilon_q, x)))
             if sol is None:
                 raise InvariantViolation("cobracket does not restrict to a homogeneous image")
             cob_cols.append(sol)
@@ -797,32 +704,19 @@ def mich_tur1_verify(h: HopfGroupAlgebra, validate: bool = True) -> MichTur1Cert
     identity block and coincide with the classical primitives of H_e."""
     if validate:
         require_valid(h, check_hopf_group_algebra, "mich_tur1_verify input")
-    grp = h.group
-    f = h.field
-    dims = h.dims
+    f, dims, e = h.field, h.dims, h.group.identity
     off = _offsets(dims)
     total = total_hopf(h, validate=False)
     p_total = primitives(total, validate=False)
+    p_e = primitives(identity_component_hopf(h), validate=False)
 
-    he = identity_component_hopf(h)
-    p_e = primitives(he, validate=False)
-    e = grp.identity
-    embedded = []
-    for row in p_e.space.basis.data:
-        vec = [f.zero] * total.dim
-        for a, v in enumerate(row):
-            vec[off[e] + a] = v
-        embedded.append(vec)
-    p_e_embedded = Subspace.from_vectors(f, total.dim, embedded)
+    def embed(rows):
+        """The span of vectors of H_e, as vectors of the direct sum."""
+        before, after = (f.zero,) * off[e], (f.zero,) * (total.dim - off[e + 1])
+        return Subspace.from_vectors(f, total.dim, [before + tuple(r) + after for r in rows])
 
-    e_block = Subspace.from_vectors(
-        f,
-        total.dim,
-        [
-            [f.one if i == off[e] + a else f.zero for i in range(total.dim)]
-            for a in range(dims[e])
-        ],
-    )
+    p_e_embedded = embed(p_e.space.basis.data)
+    e_block = embed(Matrix.identity(f, dims[e]).data)
     contained = p_total.space.is_subspace_of(e_block)
     equal = p_total.space == p_e_embedded
     return MichTur1Certificate(
@@ -993,18 +887,11 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
                 break
             reps.append(x)
         if beta_defined:
-            pi_kernel = nullspace(pi_hat)
-            for i, p_row in enumerate(pg.space.basis.data):
-                for z in pi_kernel.basis.data:
-                    val = f.zero
-                    for a in range(dims[g]):
-                        val = f.add(val, f.mul(p_row[a], z[a]))
-                    if val != 0:
-                        beta_defined = False
-                        failures.append(f"primitive functional {i} not constant on pi_g fibers")
-                        break
-                if not beta_defined:
-                    break
+            on_fibers = pg.space.basis @ nullspace(pi_hat).basis.transpose()
+            i = next((i for i, row in enumerate(on_fibers.data) if any(row)), None)
+            if i is not None:
+                beta_defined = False
+                failures.append(f"primitive functional {i} not constant on pi_g fibers")
         if beta_defined:
             beta = Matrix(f, k, dims[g], tuple(reps)) @ pg.space.basis.transpose()
         else:

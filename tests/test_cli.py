@@ -120,6 +120,21 @@ class TestOutOfRangeIndices:
         self._rejected(tmp_path, capsys, graded, "group-michaelis")
 
 
+class TestMalformedValues:
+    """Well-formed JSON holding a value of the wrong kind is bad input too:
+    exit 2, an ``error:`` line on stderr, nothing on stdout."""
+
+    _rejected = TestOutOfRangeIndices._rejected
+
+    def test_top_level_json_list(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, [json.loads(dumps(sweedler4(Q)))])
+
+    def test_zero_denominator_coefficient(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["mult"][0][3] = "1/0"
+        self._rejected(tmp_path, capsys, data)
+
+
 class TestDualDagger:
     def test_dual_round_trip(self, sweedler_file, tmp_path):
         out1 = tmp_path / "dual.json"
