@@ -126,10 +126,12 @@ class FieldSpec:
 
     @staticmethod
     def from_json(data: dict) -> "FieldSpec":
+        from .serialize import _read
+
         if data["kind"] == "Q":
             return FieldSpec.rationals()
         if data["kind"] == "Fp":
-            return FieldSpec.prime(int(data["p"]))
+            return FieldSpec.prime(_read(data["p"], "field p"))
         raise ValueError(f"unknown field kind {data['kind']!r}")
 
     def __str__(self) -> str:

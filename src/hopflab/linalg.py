@@ -174,12 +174,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, self.cols, self.rows, data)
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .errors import InvariantViolation
-from .hopf import HopfAlgebraSC, check_hopf, dual_hopf, require_valid
+from .hopf import AlgebraSC, HopfAlgebraSC, check_hopf, dual_hopf, require_valid
 from .lie import (
     LieAlgebraSC,
     LieCoalgebraSC,
@@ -71,8 +71,9 @@ def cocommutator_matrix(h: HopfAlgebraSC) -> Matrix:
     return cocommutator_lie_coalgebra(h.coalgebra, validate=False).cobracket
 
 
-def _restricted_bracket(h: HopfAlgebraSC, space: Subspace, where: str) -> LieAlgebraSC:
-    """Commutator bracket of H restricted to a subspace, with closure certified."""
+def restricted_bracket(h: AlgebraSC, space: Subspace, where: str) -> LieAlgebraSC:
+    """Commutator bracket of the algebra ``h`` restricted to a subspace, with
+    closure and the Lie axioms certified; ``where`` prefixes the error."""
     f, n = h.field, h.dim
     k = sparse.Kernel(f, n, h.parity)
     bracket_h = k.braided(sparse.columns(h.mult), -1)
@@ -112,7 +113,7 @@ def primitives(h: HopfAlgebraSC, validate: bool = True) -> PrimitiveSpace:
             for row in (system[a * n + j], system[j * n + a]):
                 row[j] = row.get(j, 0) - u
     space = nullspace(sparse.matrix(f, n, system).transpose())
-    lie = _restricted_bracket(h, space, "primitives")
+    lie = restricted_bracket(h, space, "primitives")
     return PrimitiveSpace(parent=h, space=space, lie=lie)
 
 

@@ -47,14 +47,28 @@ KINDS = (
 # -- matrices and vectors -----------------------------------------------------
 
 
+def _read(x, what: str, field: Optional[FieldSpec] = None):
+    """``x`` as a JSON integer or, given ``field``, as a scalar of it.  An
+    integer is an ``int`` that is not a ``bool``; a scalar is never a ``bool``."""
+    if field is None:
+        if type(x) is int:
+            return x
+        kind = "an integer"
+    elif type(x) is not bool:
+        return field.scalar_from_json(x)
+    else:
+        kind = "a scalar"
+    raise ValueError(f"{what} must be {kind}, got {x!r}")
+
+
 def matrix_to_json(m: Matrix) -> dict:
     enc = m.field.scalar_to_json
     return {"rows": m.rows, "cols": m.cols, "entries": [enc(x) for x in m.flat()]}
 
 
 def matrix_from_json(field: FieldSpec, data: dict) -> Matrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = [field.scalar_from_json(x) for x in data["entries"]]
+    rows, cols = _read(data["rows"], "matrix rows"), _read(data["cols"], "matrix cols")
+    entries = [_read(x, "matrix entry", field) for x in data["entries"]]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match matrix shape")
     grid = tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
@@ -63,10 +77,6 @@ def matrix_from_json(field: FieldSpec, data: dict) -> Matrix:
 
 def _vector_to_json(field: FieldSpec, vec) -> list:
     return [field.scalar_to_json(x) for x in vec]
-
-
-def _vector_from_json(field: FieldSpec, data) -> list:
-    return [field.scalar_from_json(x) for x in data]
 
 
 # -- sparse triple lists -------------------------------------------------------
@@ -87,22 +97,28 @@ def mult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
     return out
 
 
-def _triple(t, bounds) -> tuple:
-    """``[i, j, k, coeff]`` with each index checked against its dimension."""
+def _triple(field: FieldSpec, t, bounds) -> tuple:
+    """``[i, j, k, coeff]`` with each index checked against its dimension and
+    the coefficient read as a scalar of ``field``."""
     if len(t) != 4:
         raise ValueError(f"triple {t!r} does not have four entries")
-    idx = tuple(int(x) for x in t[:3])
-    for x, bound in zip(idx, bounds):
+    i, j, k, c = t
+    try:
+        i, j, k = _read(i, "index"), _read(j, "index"), _read(k, "index")
+        c = _read(c, "coefficient", field)
+    except ValueError as exc:
+        raise ValueError(f"triple {list(t)}: {exc}") from None
+    for x, bound in zip((i, j, k), bounds):
         if not 0 <= x < bound:
             raise ValueError(f"triple {list(t)} has index {x} outside range({bound})")
-    return (*idx, t[3])
+    return i, j, k, c
 
 
 def mult_from_triples(field: FieldSpec, rows: int, dim_l: int, dim_r: int, triples) -> Matrix:
     grid = [[field.zero] * (dim_l * dim_r) for _ in range(rows)]
     for t in triples:
-        i, j, k, c = _triple(t, (dim_l, dim_r, rows))
-        grid[k][i * dim_r + j] = field.scalar_from_json(c)
+        i, j, k, c = _triple(field, t, (dim_l, dim_r, rows))
+        grid[k][i * dim_r + j] = c
     return Matrix(field, rows, dim_l * dim_r, tuple(tuple(r) for r in grid))
 
 
@@ -123,8 +139,8 @@ def comult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
 def comult_from_triples(field: FieldSpec, cols: int, dim_l: int, dim_r: int, triples) -> Matrix:
     grid = [[field.zero] * cols for _ in range(dim_l * dim_r)]
     for t in triples:
-        i, j, k, c = _triple(t, (cols, dim_l, dim_r))
-        grid[j * dim_r + k][i] = field.scalar_from_json(c)
+        i, j, k, c = _triple(field, t, (cols, dim_l, dim_r))
+        grid[j * dim_r + k][i] = c
     return Matrix(field, dim_l * dim_r, cols, tuple(tuple(r) for r in grid))
 
 
@@ -147,46 +163,59 @@ def _sc_header(obj, kind: str, schema: str) -> dict:
     return out
 
 
+# Each classical kind: its class, schema and structure maps.
+_CLASSICAL = {
+    "hopf": (HopfAlgebraSC, "hopf-sc/1", ("mult", "unit", "comult", "counit", "antipode")),
+    "bialgebra": (BialgebraSC, "hopf-sc/1", ("mult", "unit", "comult", "counit")),
+    "algebra": (AlgebraSC, "hopf-sc/1", ("mult", "unit")),
+    "coalgebra": (CoalgebraSC, "hopf-sc/1", ("comult", "counit")),
+    "lie": (LieAlgebraSC, "lie-sc/1", ("bracket",)),
+    "liecoalg": (LieCoalgebraSC, "lie-sc/1", ("cobracket",)),
+}
+
+# Each graded kind: its class, its components' class and their two maps.
+_GRADED = {
+    "turaev-alg": (HopfGroupAlgebra, CoalgebraSC, ("comult", "counit")),
+    "turaev-coalg": (HopfGroupCoalgebra, AlgebraSC, ("mult", "unit")),
+}
+
+# The triple form of each (co)multiplication and (co)bracket, graded or not.
+_MULT, _COMULT = (mult_to_triples, mult_from_triples), (comult_to_triples, comult_from_triples)
+_TRIPLES = {"mult": _MULT, "bracket": _MULT, "graded_mult": _MULT,
+            "comult": _COMULT, "cobracket": _COMULT, "graded_comult": _COMULT}
+
+
+def _map_to_json(name: str, m: Matrix, *dims: int):
+    """The structure map ``name``: triples on factors of dimensions ``dims``,
+    a dense antipode, or the entry list of a (co)unit."""
+    if name in _TRIPLES:
+        return _TRIPLES[name][0](m, *dims)
+    return matrix_to_json(m) if name == "antipode" else _vector_to_json(m.field, m.flat())
+
+
+def _map_from_json(field: FieldSpec, name: str, data, *dims: int) -> Matrix:
+    """The inverse of ``_map_to_json``; for triples ``dims`` is the dimension
+    of the unfactored side followed by those of the two factors."""
+    if name in _TRIPLES:
+        return _TRIPLES[name][1](field, *dims, data)
+    if name == "antipode":
+        return matrix_from_json(field, data)
+    what = f"{name} entry"
+    vec = [_read(x, what, field) for x in data]
+    return Matrix.column(field, vec) if name == "unit" else Matrix.row_vector(field, vec)
+
+
 def to_jsonable(obj) -> dict:
-    if isinstance(obj, HopfAlgebraSC):
-        out = _sc_header(obj, "hopf", "hopf-sc/1")
-        out["mult"] = mult_to_triples(obj.mult, obj.dim, obj.dim)
-        out["unit"] = _vector_to_json(obj.field, obj.unit.col(0))
-        out["comult"] = comult_to_triples(obj.comult, obj.dim, obj.dim)
-        out["counit"] = _vector_to_json(obj.field, obj.counit.row(0))
-        out["antipode"] = matrix_to_json(obj.antipode)
-        return out
-    if isinstance(obj, BialgebraSC):
-        out = _sc_header(obj, "bialgebra", "hopf-sc/1")
-        out["mult"] = mult_to_triples(obj.mult, obj.dim, obj.dim)
-        out["unit"] = _vector_to_json(obj.field, obj.unit.col(0))
-        out["comult"] = comult_to_triples(obj.comult, obj.dim, obj.dim)
-        out["counit"] = _vector_to_json(obj.field, obj.counit.row(0))
-        return out
-    if isinstance(obj, AlgebraSC):
-        out = _sc_header(obj, "algebra", "hopf-sc/1")
-        out["mult"] = mult_to_triples(obj.mult, obj.dim, obj.dim)
-        out["unit"] = _vector_to_json(obj.field, obj.unit.col(0))
-        return out
-    if isinstance(obj, CoalgebraSC):
-        out = _sc_header(obj, "coalgebra", "hopf-sc/1")
-        out["comult"] = comult_to_triples(obj.comult, obj.dim, obj.dim)
-        out["counit"] = _vector_to_json(obj.field, obj.counit.row(0))
-        return out
-    if isinstance(obj, LieAlgebraSC):
-        out = _sc_header(obj, "lie", "lie-sc/1")
-        out["bracket"] = mult_to_triples(obj.bracket, obj.dim, obj.dim)
-        return out
-    if isinstance(obj, LieCoalgebraSC):
-        out = _sc_header(obj, "liecoalg", "lie-sc/1")
-        out["cobracket"] = comult_to_triples(obj.cobracket, obj.dim, obj.dim)
-        return out
+    for kind, (cls, schema, maps) in _CLASSICAL.items():
+        if isinstance(obj, cls):
+            out = _sc_header(obj, kind, schema)
+            for name in maps:
+                out[name] = _map_to_json(name, getattr(obj, name), obj.dim, obj.dim)
+            return out
     if isinstance(obj, FiniteGroup):
         return {"schema": "group/1", "kind": "group", **group_to_json(obj)}
-    if isinstance(obj, HopfGroupAlgebra):
-        return hga_to_json(obj)
-    if isinstance(obj, HopfGroupCoalgebra):
-        return hgc_to_json(obj)
+    if isinstance(obj, (HopfGroupAlgebra, HopfGroupCoalgebra)):
+        return _turaev_to_json(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -201,73 +230,35 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 def group_from_json(data: dict) -> FiniteGroup:
     g = FiniteGroup.from_table(data["table"], data.get("names"))
-    if "identity" in data and data["identity"] != g.identity:
+    if "identity" in data and _read(data["identity"], "group identity") != g.identity:
         raise ValueError("declared identity disagrees with the table")
-    if "order" in data and int(data["order"]) != g.order:
+    if "order" in data and _read(data["order"], "group order") != g.order:
         raise ValueError("declared order disagrees with the table")
     return g
 
 
-def hga_to_json(h: HopfGroupAlgebra) -> dict:
-    f = h.field
-    dims = h.dims
-    comps = []
-    for c in h.components:
-        comps.append(
-            {
-                "dim": c.dim,
-                "basis_names": list(c.basis_names),
-                "comult": comult_to_triples(c.comult, c.dim, c.dim),
-                "counit": _vector_to_json(f, c.counit.row(0)),
-            }
-        )
-    graded = {}
-    for g in h.group.elements():
-        for k in h.group.elements():
-            graded[f"{g},{k}"] = mult_to_triples(h.graded_mult[g][k], dims[g], dims[k])
+def _turaev_to_json(h) -> dict:
+    kind = next(k for k, (cls, _, _) in _GRADED.items() if isinstance(h, cls))
+    maps, (graded, point) = _GRADED[kind][2], h._MAPS
+    f, dims, grp = h.field, h.dims, h.group
     return {
         "schema": "turaev/1",
-        "kind": "turaev-alg",
+        "kind": kind,
         "field": f.to_json(),
-        "group": group_to_json(h.group),
-        "components": comps,
-        "graded_mult": graded,
-        "unit": _vector_to_json(f, h.unit.col(0)),
-        "antipodes": {str(g): matrix_to_json(h.antipodes[g]) for g in h.group.elements()},
+        "group": group_to_json(grp),
+        "components": [
+            {"dim": c.dim, "basis_names": list(c.basis_names),
+             **{name: _map_to_json(name, getattr(c, name), c.dim, c.dim) for name in maps}}
+            for c in h.components
+        ],
+        graded: {
+            f"{g},{k}": _map_to_json(graded, getattr(h, graded)[g][k], dims[g], dims[k])
+            for g in grp.elements()
+            for k in grp.elements()
+        },
+        point: _map_to_json(point, getattr(h, point)),
+        "antipodes": {str(g): matrix_to_json(h.antipodes[g]) for g in grp.elements()},
     }
-
-
-def hgc_to_json(h: HopfGroupCoalgebra) -> dict:
-    f = h.field
-    dims = h.dims
-    comps = []
-    for a in h.components:
-        comps.append(
-            {
-                "dim": a.dim,
-                "basis_names": list(a.basis_names),
-                "mult": mult_to_triples(a.mult, a.dim, a.dim),
-                "unit": _vector_to_json(f, a.unit.col(0)),
-            }
-        )
-    graded = {}
-    for g in h.group.elements():
-        for k in h.group.elements():
-            graded[f"{g},{k}"] = comult_to_triples(h.graded_comult[g][k], dims[g], dims[k])
-    return {
-        "schema": "turaev/1",
-        "kind": "turaev-coalg",
-        "field": f.to_json(),
-        "group": group_to_json(h.group),
-        "components": comps,
-        "graded_comult": graded,
-        "counit": _vector_to_json(f, h.counit.row(0)),
-        "antipodes": {str(g): matrix_to_json(h.antipodes[g]) for g in h.group.elements()},
-    }
-
-
-def _parity_of(data: dict):
-    return parity_from_json(data["parity"]) if "parity" in data else None
 
 
 def from_jsonable(data: dict, kind: Optional[str] = None):
@@ -281,105 +272,45 @@ def from_jsonable(data: dict, kind: Optional[str] = None):
     if kind == "group":
         return group_from_json(data)
     field = FieldSpec.from_json(data["field"])
-    if kind in ("turaev-alg", "turaev-coalg"):
+    if kind in _GRADED:
         return _turaev_from_json(field, data, kind)
-    dim = int(data["dim"])
-    names = tuple(data.get("basis_names", [f"e{i}" for i in range(dim)]))
-    parity = _parity_of(data)
-    if kind == "lie":
-        bracket = mult_from_triples(field, dim, dim, dim, data["bracket"])
-        return LieAlgebraSC(field=field, dim=dim, bracket=bracket, parity=parity, basis_names=names)
-    if kind == "liecoalg":
-        cobracket = comult_from_triples(field, dim, dim, dim, data["cobracket"])
-        return LieCoalgebraSC(
-            field=field, dim=dim, cobracket=cobracket, parity=parity, basis_names=names
-        )
-    pieces = {}
-    if kind in ("algebra", "bialgebra", "hopf"):
-        pieces["mult"] = mult_from_triples(field, dim, dim, dim, data["mult"])
-        pieces["unit"] = Matrix.column(field, _vector_from_json(field, data["unit"]))
-    if kind in ("coalgebra", "bialgebra", "hopf"):
-        pieces["comult"] = comult_from_triples(field, dim, dim, dim, data["comult"])
-        pieces["counit"] = Matrix.row_vector(field, _vector_from_json(field, data["counit"]))
-    common = dict(field=field, dim=dim, basis_names=names, parity=parity)
-    if kind == "algebra":
-        return AlgebraSC(**common, **pieces)
-    if kind == "coalgebra":
-        return CoalgebraSC(**common, **pieces)
-    if kind == "bialgebra":
-        return BialgebraSC(**common, **pieces)
-    antipode = matrix_from_json(field, data["antipode"])
-    return HopfAlgebraSC(**common, **pieces, antipode=antipode)
+    dim = _read(data["dim"], "dim")
+    cls, _, maps = _CLASSICAL[kind]
+    return cls(
+        field=field,
+        dim=dim,
+        basis_names=tuple(data.get("basis_names", [f"e{i}" for i in range(dim)])),
+        parity=parity_from_json(data["parity"]) if "parity" in data else None,
+        **{name: _map_from_json(field, name, data[name], dim, dim, dim) for name in maps},
+    )
 
 
 def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
+    cls, part, maps = _GRADED[kind]
+    graded, point = cls._MAPS
     group = group_from_json(data["group"])
-    dims = [int(c["dim"]) for c in data["components"]]
+    comps = data["components"]
+    dims = [_read(c["dim"], "component dim") for c in comps]
     if len(dims) != group.order:
         raise ValueError(f"{len(dims)} components for a group of order {group.order}")
-    antipodes = tuple(
-        matrix_from_json(field, data["antipodes"][str(g)]) for g in group.elements()
-    )
-    if kind == "turaev-alg":
-        comps = tuple(
-            CoalgebraSC(
-                field=field,
-                dim=dims[g],
-                basis_names=tuple(data["components"][g]["basis_names"]),
-                comult=comult_from_triples(
-                    field, dims[g], dims[g], dims[g], data["components"][g]["comult"]
-                ),
-                counit=Matrix.row_vector(
-                    field, _vector_from_json(field, data["components"][g]["counit"])
-                ),
-            )
-            for g in group.elements()
-        )
-        graded = tuple(
-            tuple(
-                mult_from_triples(
-                    field,
-                    dims[group.mul(g, k)],
-                    dims[g],
-                    dims[k],
-                    data["graded_mult"][f"{g},{k}"],
-                )
-                for k in group.elements()
-            )
-            for g in group.elements()
-        )
-        unit = Matrix.column(field, _vector_from_json(field, data["unit"]))
-        return HopfGroupAlgebra(
-            group=group, components=comps, graded_mult=graded, unit=unit, antipodes=antipodes
-        )
-    comps = tuple(
-        AlgebraSC(
-            field=field,
-            dim=dims[g],
-            basis_names=tuple(data["components"][g]["basis_names"]),
-            mult=mult_from_triples(
-                field, dims[g], dims[g], dims[g], data["components"][g]["mult"]
-            ),
-            unit=Matrix.column(field, _vector_from_json(field, data["components"][g]["unit"])),
-        )
-        for g in group.elements()
-    )
-    graded = tuple(
+    elements = group.elements()
+    return cls(
+        group,
         tuple(
-            comult_from_triples(
-                field,
-                dims[group.mul(g, k)],
-                dims[g],
-                dims[k],
-                data["graded_comult"][f"{g},{k}"],
+            part(field=field, dim=d, basis_names=tuple(c["basis_names"]),
+                 **{name: _map_from_json(field, name, c[name], d, d, d) for name in maps})
+            for c, d in zip(comps, dims)
+        ),
+        tuple(
+            tuple(
+                _map_from_json(field, graded, data[graded][f"{g},{k}"],
+                               dims[group.mul(g, k)], dims[g], dims[k])
+                for k in elements
             )
-            for k in group.elements()
-        )
-        for g in group.elements()
-    )
-    counit = Matrix.row_vector(field, _vector_from_json(field, data["counit"]))
-    return HopfGroupCoalgebra(
-        group=group, components=comps, graded_comult=graded, counit=counit, antipodes=antipodes
+            for g in elements
+        ),
+        _map_from_json(field, point, data[point]),
+        tuple(matrix_from_json(field, data["antipodes"][str(g)]) for g in elements),
     )
 
 

@@ -73,6 +73,7 @@ class TestOutOfRangeIndices:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+        return err
 
     @pytest.mark.parametrize("key", ["mult", "comult"])
     def test_triple_index_equal_to_dim(self, tmp_path, capsys, key):
@@ -133,6 +134,52 @@ class TestMalformedValues:
         data = json.loads(dumps(sweedler4(Q)))
         data["mult"][0][3] = "1/0"
         self._rejected(tmp_path, capsys, data)
+
+    # An integer field holds an ``int`` that is not a ``bool``; a scalar is
+    # never a ``bool``.  The message names the field at fault.
+
+    def test_triple_index_true(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["mult"][0][1] = True
+        assert "triple" in self._rejected(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("index", ["0", 0.0], ids=["string", "float"])
+    def test_triple_index_not_an_int(self, tmp_path, capsys, index):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["comult"][0][0] = index
+        assert "triple" in self._rejected(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("dim", ["4", 4.5], ids=["string", "float"])
+    def test_dim_not_an_int(self, tmp_path, capsys, dim):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["dim"] = dim
+        assert "dim" in self._rejected(tmp_path, capsys, data)
+
+    def test_antipode_rows_string(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["antipode"]["rows"] = "4"
+        assert "rows" in self._rejected(tmp_path, capsys, data)
+
+    def test_field_characteristic_string(self, tmp_path, capsys):
+        data = json.loads(dumps(truncated_poly(3)))
+        data["field"]["p"] = "3"
+        assert "field p" in self._rejected(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("entry", [True, "1"], ids=["true", "string"])
+    def test_group_table_entry_not_an_int(self, tmp_path, capsys, entry):
+        data = json.loads(dumps(cyclic_group(3)))
+        data["table"][0][1] = entry
+        assert "table" in self._rejected(tmp_path, capsys, data)
+
+    def test_graded_component_dim_string(self, tmp_path, capsys):
+        data = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        data["components"][1]["dim"] = "1"
+        assert "dim" in self._rejected(tmp_path, capsys, data)
+
+    def test_coefficient_true(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["mult"][0][3] = True
+        assert "coefficient" in self._rejected(tmp_path, capsys, data)
 
 
 class TestDualDagger:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,8 @@ from hopflab.zoo import (
     sweedler4,
     truncated_poly,
 )
+
+from test_turaev import truncated_family
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -100,6 +103,29 @@ class TestRoundTrips:
         h = exterior_super(2)
         again = from_jsonable(json.loads(dumps(h)))
         assert again.parity == h.parity
+
+
+class TestGradedBytes:
+    """Both graded forms are emitted and loaded by one body; the SHA-256 of
+    their canonical text was recorded before the two forms were folded."""
+
+    PINNED = {
+        "truncated_family": (truncated_family,
+                             "26862531437f9d690815848cf6628d59512ec7990a577754260f7b790477ff69",
+                             "eca6d1adfeedc0968ac0716e3a00c713ca54a5fd213826960cf1ecf5ae3cb35c"),
+        "diag S3/Q": (lambda: diagonal_group_algebra(symmetric_group(3), Q),
+                      "c4d508be42479dd3d441e67fae28fd082aee390f9178049000f1a99e48859abb",
+                      "4d866cf5da4a72c78091ee1b5d00e7f6d1da542a00d9ae493d89f89f5993417d"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_dumps_pinned_and_load_dump_identical(self, name):
+        build, alg_digest, coalg_digest = self.PINNED[name]
+        hga = build()
+        for obj, digest in ((hga, alg_digest), (dagger(hga), coalg_digest)):
+            text = dumps(obj)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert dumps(from_jsonable(json.loads(text))) == text
 
 
 class TestKinds:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopflab.fields import FieldSpec
-from hopflab.hopf import check_hopf, dual_hopf
+from hopflab.hopf import HopfAlgebraSC, check_hopf, dual_hopf
 from hopflab.linalg import Matrix
 from hopflab.primitives import indecomposables, michaelis_verify, primitives
 from hopflab.turaev import (
@@ -122,6 +122,25 @@ class TestGradedChecks:
         # trivial-group dagger reduces to the classical dual
         assert identity_component_hopf(hgc) == dual_hopf(sweedler4(Q))
 
+    @pytest.mark.parametrize("build", [truncated_family,
+                                       lambda: diagonal_group_algebra(symmetric_group(3), Q)],
+                             ids=["truncated_family", "diag_s3Q"])
+    def test_identity_component_of_group_coalgebra(self, build):
+        hgc = dagger(build())
+        e = hgc.group.identity
+        ae = hgc.components[e]
+        assembled = HopfAlgebraSC(
+            field=hgc.field,
+            dim=ae.dim,
+            basis_names=ae.basis_names,
+            mult=ae.mult,
+            unit=ae.unit,
+            comult=hgc.graded_comult[e][e],
+            counit=hgc.counit,
+            antipode=hgc.antipodes[e],
+        )
+        assert identity_component_hopf(hgc) == assembled
+
     def test_parity_inputs_rejected(self):
         from hopflab.errors import ShapeError
         from hopflab.zoo import exterior_super
@@ -199,6 +218,19 @@ class TestGPrimitives:
         cert = group_michaelis_verify(hga)
         assert cert.verified
         assert cert.dims == ((1, 1), (2, 2), (2, 2))
+
+    def test_multidim_family_brackets_and_families_pinned(self):
+        # recorded before the degreewise primitives were read off P(total)
+        pinned = [
+            ([[0]], [[0, 1, 0, 0, 1, 0, 0, 1, 0]]),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]],
+             [[0, 0, 0, 1, 0, 0, 2, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1, 0]]),
+            ([[0, 0, 0, 0], [0, 0, 0, 0]],
+             [[0, 0, 0, 2, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1, 0]]),
+        ]
+        prims = g_primitives(dagger(truncated_family()))
+        assert [([list(r) for r in p.lie.bracket.data], [list(r) for r in p.space_families.data])
+                for p in prims] == pinned
 
     def test_oracle_agreement_multidim_component(self):
         hgc = hopf_as_group_coalgebra(truncated_poly(5))
@@ -339,3 +371,12 @@ class TestFamilyEquations:
         from hopflab.linalg import nullspace
 
         assert subspace_rows(nullspace(m)) == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("name,hga", diag_examples() + [("truncated_family", truncated_family())],
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_family_space_is_the_solution_space_of_the_system(self, name, hga):
+        from hopflab.linalg import nullspace
+
+        hgc = dagger(hga)
+        solutions = nullspace(family_equations(hgc))
+        assert all(p.family_space == solutions for p in g_primitives(hgc))
