@@ -32,8 +32,6 @@ from .hopf import (
     solve_antipode,
 )
 from .lie import (
-    FamilyOfLieAlgebras,
-    FamilyOfLieCoalgebras,
     LieAlgebraSC,
     LieCoalgebraSC,
     check_lie,

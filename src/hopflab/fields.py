@@ -109,9 +109,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, -1, self.characteristic)
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     def scalar_to_json(self, a: Scalar):
         """Rationals go out as reduced strings "a/b" (or "a"), residues as ints."""
         return str(a) if self.is_rational else int(a)

@@ -144,45 +144,3 @@ def lie_morphism_check(f: Matrix, l1: LieAlgebraSC, l2: LieAlgebraSC) -> bool:
     if f.shape != (l2.dim, l1.dim):
         raise ShapeError("morphism shape does not match the Lie algebras")
     return f @ l1.bracket == l2.bracket @ tensor(f, f)
-
-
-# -- group-indexed families ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyOfLieAlgebras:
-    """A collection of Lie algebras indexed by the elements of a finite group.
-
-    Components are kept in the group's canonical element order.  The family
-    bracket is the componentwise one, so the family satisfies the Lie axioms
-    iff every component does; this is verified at construction.
-    """
-
-    group: "FiniteGroup"  # noqa: F821 - forward ref to hopflab.turaev
-    components: Tuple[LieAlgebraSC, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.group.order:
-            raise ShapeError("one component per group element required")
-        for g, comp in enumerate(self.components):
-            rep = check_lie(comp)
-            if not rep.ok:
-                raise InvalidStructureError(
-                    f"component {self.group.element_names[g]} fails Lie axioms", rep
-                )
-
-
-@dataclass(frozen=True)
-class FamilyOfLieCoalgebras:
-    group: "FiniteGroup"  # noqa: F821
-    components: Tuple[LieCoalgebraSC, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.group.order:
-            raise ShapeError("one component per group element required")
-        for g, comp in enumerate(self.components):
-            rep = check_lie_coalgebra(comp)
-            if not rep.ok:
-                raise InvalidStructureError(
-                    f"component {self.group.element_names[g]} fails Lie coalgebra axioms", rep
-                )

@@ -88,9 +88,6 @@ class Matrix:
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.data[i][j]
-
     def row(self, i: int) -> Tuple[Scalar, ...]:
         return self.data[i]
 
@@ -476,9 +473,6 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return self.projection.rows
-
-    def project(self, vec: Sequence) -> Tuple[Scalar, ...]:
-        return self.projection.apply(vec)
 
 
 def quotient(ambient_dim: int, s: Subspace) -> QuotientSpace:

@@ -166,6 +166,41 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
     )
 
 
+def alpha_clauses(alpha: Matrix, p: Subspace, p_lie: LieAlgebraSC, q_lie_co: LieCoalgebraSC,
+                  not_primitive: str, dims_differ: str):
+    """The four duality clauses of alpha : Q^* -> P, whose columns are alpha
+    of the dual basis of Q: each column lies in ``p``; alpha is injective;
+    dim Q = dim P; alpha intertwines the bracket dual to ``q_lie_co`` with
+    ``p_lie`` (checked only when the first and third clauses hold).  The
+    failure texts are ``not_primitive.format(t=column)`` and
+    ``dims_differ.format(q=dim Q, p=dim P)``.
+
+    Returns the four verdicts, alpha in the coordinates of ``p`` (None when
+    the Lie clause was not checked) and the failure texts.
+    """
+    q = alpha.cols
+    failures: List[str] = []
+    image_ok = True
+    for t in range(q):
+        if not p.contains(alpha.col(t)):
+            image_ok = False
+            failures.append(not_primitive.format(t=t))
+    injective = rank(alpha) == q
+    if not injective:
+        failures.append("alpha has a nontrivial kernel")
+    dims_equal = q == p.dim
+    if not dims_equal:
+        failures.append(dims_differ.format(q=q, p=p.dim))
+    lie_ok, coord_mat = False, None
+    if image_ok and dims_equal:
+        coords = [p.coordinates_of(alpha.col(t)) for t in range(q)]
+        coord_mat = Matrix(alpha.field, p.dim, q, tuple(tuple(c[i] for c in coords) for i in range(p.dim)))
+        lie_ok = lie_morphism_check(coord_mat, dual_lie(q_lie_co, validate=False), p_lie)
+        if not lie_ok:
+            failures.append("alpha does not intertwine the Lie brackets")
+    return image_ok, injective, dims_equal, lie_ok, coord_mat, failures
+
+
 @dataclass(frozen=True)
 class MichaelisCertificate:
     """A re-verifiable record of the duality check P(H^*) = Q(H)^*.
@@ -227,37 +262,10 @@ def michaelis_verify(h: HopfAlgebraSC, validate: bool = True) -> MichaelisCertif
     p_space = primitives(hd, validate=False)
     q_space = indecomposables(h, validate=False)
     alpha = q_space.pi.transpose()
-    failures: List[str] = []
-
-    image_ok = True
-    for t in range(alpha.cols):
-        if not p_space.space.contains(alpha.col(t)):
-            image_ok = False
-            failures.append(f"alpha column {t} is not primitive in the dual")
-    injective = rank(alpha) == alpha.cols
-    if not injective:
-        failures.append("alpha has a nontrivial kernel")
-    dims_equal = q_space.quotient.dim == p_space.space.dim
-    if not dims_equal:
-        failures.append(
-            f"dim Q = {q_space.quotient.dim} but dim P(dual) = {p_space.space.dim}"
-        )
-
-    lie_ok = False
-    if image_ok and dims_equal:
-        coords = [p_space.space.coordinates_of(alpha.col(t)) for t in range(alpha.cols)]
-        coord_mat = Matrix(
-            h.field,
-            p_space.space.dim,
-            alpha.cols,
-            tuple(tuple(c[i] for c in coords) for i in range(p_space.space.dim)),
-        )
-        lie_ok = lie_morphism_check(coord_mat, dual_lie(q_space.lie_co, validate=False), p_space.lie)
-        if not lie_ok:
-            failures.append("alpha does not intertwine the Lie brackets")
-    elif not failures:
-        failures.append("lie morphism clause skipped")
-
+    image_ok, injective, dims_equal, lie_ok, _, failures = alpha_clauses(
+        alpha, p_space.space, p_space.lie, q_space.lie_co,
+        "alpha column {t} is not primitive in the dual", "dim Q = {q} but dim P(dual) = {p}",
+    )
     return MichaelisCertificate(
         dim_p=p_space.space.dim,
         dim_q=q_space.quotient.dim,

@@ -47,13 +47,18 @@ KINDS = (
 # -- matrices and vectors -----------------------------------------------------
 
 
-def _read(x, what: str, field: Optional[FieldSpec] = None):
-    """``x`` as a JSON integer or, given ``field``, as a scalar of it.  An
-    integer is an ``int`` that is not a ``bool``; a scalar is never a ``bool``."""
+def _read(x, what: str, field=None):
+    """``x`` as a JSON integer; given a ``FieldSpec``, as a scalar of it; given
+    ``str``, as a tuple of names from a list of strings.  An integer is an
+    ``int`` that is not a ``bool``; a scalar is never a ``bool``."""
     if field is None:
         if type(x) is int:
             return x
         kind = "an integer"
+    elif field is str:
+        if type(x) is list and all(type(s) is str for s in x):
+            return tuple(x)
+        kind = "a list of strings"
     elif type(x) is not bool:
         return field.scalar_from_json(x)
     else:
@@ -279,7 +284,8 @@ def from_jsonable(data: dict, kind: Optional[str] = None):
     return cls(
         field=field,
         dim=dim,
-        basis_names=tuple(data.get("basis_names", [f"e{i}" for i in range(dim)])),
+        basis_names=_read(data.get("basis_names", [f"e{i}" for i in range(dim)]),
+                          "basis_names", str),
         parity=parity_from_json(data["parity"]) if "parity" in data else None,
         **{name: _map_from_json(field, name, data[name], dim, dim, dim) for name in maps},
     )
@@ -297,7 +303,8 @@ def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
     return cls(
         group,
         tuple(
-            part(field=field, dim=d, basis_names=tuple(c["basis_names"]),
+            part(field=field, dim=d,
+                 basis_names=_read(c["basis_names"], "component basis_names", str),
                  **{name: _map_from_json(field, name, c[name], d, d, d) for name in maps})
             for c, d in zip(comps, dims)
         ),

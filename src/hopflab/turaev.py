@@ -33,9 +33,15 @@ from .hopf import (
     read_sparse,
     require_valid,
 )
-from .lie import LieAlgebraSC, LieCoalgebraSC, check_lie_coalgebra, dual_lie, lie_morphism_check
-from .linalg import Matrix, Subspace, nullspace, rank, solve_particular
-from .primitives import IndecomposableSpace, indecomposables, primitives, restricted_bracket
+from .lie import LieAlgebraSC, LieCoalgebraSC, check_lie_coalgebra
+from .linalg import Matrix, Subspace, nullspace, solve_particular
+from .primitives import (
+    IndecomposableSpace,
+    alpha_clauses,
+    indecomposables,
+    primitives,
+    restricted_bracket,
+)
 from . import sparse
 from .report import AxiomCheck, VerificationReport, matrix_axiom
 
@@ -65,7 +71,8 @@ class FiniteGroup:
         tbl = tuple(tuple(_read(x, "group table entry") for x in row) for row in table)
         n = len(tbl)
         _check_table(n, tbl)
-        names = tuple(names) if names is not None else tuple(f"g{i}" for i in range(n))
+        names = (tuple(f"g{i}" for i in range(n)) if names is None
+                 else _read(names, "group names", str))
         identity = None
         for e in range(n):
             if all(tbl[e][a] == a and tbl[a][e] == a for a in range(n)):
@@ -774,7 +781,6 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
 
     degrees: List[DegreeCertificate] = []
     for g in grp.elements():
-        failures: List[str] = []
         pg = prims[g]
         qg = gind.per_g[g]
         k = qg.dim
@@ -788,31 +794,11 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
             ),
         )
         alpha = pi_hat.transpose()  # dims[g] x k
-
-        image_ok = True
-        for t in range(k):
-            if not pg.space.contains(alpha.col(t)):
-                image_ok = False
-                failures.append(f"alpha column {t} not a degree-{g} primitive functional")
-        injective = rank(alpha) == k
-        if not injective:
-            failures.append("alpha has a nontrivial kernel")
-        dims_equal = k == pg.space.dim
-        if not dims_equal:
-            failures.append(f"dim Q_g = {k} but dim P_g = {pg.space.dim}")
-
-        lie_ok = False
-        coord_mat = None
-        if image_ok and dims_equal:
-            coords = [pg.space.coordinates_of(alpha.col(t)) for t in range(k)]
-            coord_mat = Matrix(
-                f, pg.space.dim, k, tuple(tuple(c[i] for c in coords) for i in range(pg.space.dim))
-            )
-            lie_ok = lie_morphism_check(
-                coord_mat, dual_lie(gind.per_g_lie_co[g], validate=False), pg.lie
-            )
-            if not lie_ok:
-                failures.append("alpha does not intertwine the Lie brackets")
+        image_ok, injective, dims_equal, lie_ok, coord_mat, failures = alpha_clauses(
+            alpha, pg.space, pg.lie, gind.per_g_lie_co[g],
+            f"alpha column {{t}} not a degree-{g} primitive functional",
+            "dim Q_g = {q} but dim P_g = {p}",
+        )
 
         # beta(p) evaluates p on canonical representatives of Q_g classes;
         # well-definedness means p kills everything pi_hat kills.

@@ -7,7 +7,6 @@ from hopflab.errors import InvalidStructureError
 from hopflab.fields import FieldSpec
 from hopflab.hopf import dual_hopf
 from hopflab.lie import (
-    FamilyOfLieAlgebras,
     LieAlgebraSC,
     LieCoalgebraSC,
     check_lie,
@@ -18,7 +17,7 @@ from hopflab.lie import (
     lie_morphism_check,
 )
 from hopflab.linalg import Matrix
-from hopflab.turaev import cyclic_group, symmetric_group, trivial_group
+from hopflab.turaev import cyclic_group, symmetric_group
 from hopflab.zoo import (
     exterior_super,
     function_hopf,
@@ -214,21 +213,3 @@ class TestParityConsistency:
     def test_super_jacobi_needs_signs(self):
         h = exterior_super(2)
         assert check_lie(commutator_lie(h.algebra)).ok
-
-
-class TestFamilies:
-    def test_componentwise_family_valid_iff_components_valid(self):
-        g = cyclic_group(2)
-        fam = FamilyOfLieAlgebras(g, (sl2_like(), sl2_like()))
-        assert len(fam.components) == 2
-        bad = LieAlgebraSC(
-            field=Q, dim=3, bracket=bracket_from_table(Q, 3, {(0, 1): [(2, 1)], (1, 0): [(2, 1)]})
-        )
-        with pytest.raises(InvalidStructureError):
-            FamilyOfLieAlgebras(g, (sl2_like(), bad))
-
-    def test_component_count_enforced(self):
-        from hopflab.errors import ShapeError
-
-        with pytest.raises(ShapeError):
-            FamilyOfLieAlgebras(trivial_group(), (sl2_like(), sl2_like()))
