@@ -30,7 +30,7 @@ from .hopf import (
 )
 from .lie import check_lie, check_lie_coalgebra
 from .primitives import indecomposables, michaelis_verify, primitives
-from .serialize import dumps, load, matrix_to_json, to_jsonable
+from .serialize import dumps, kind_of, load, matrix_to_json
 from .turaev import (
     FiniteGroup,
     HopfGroupAlgebra,
@@ -87,7 +87,7 @@ def _emit(text: str, out_path) -> None:
 def _checked(path: str, kind):
     """The axiom report of ``path``, loaded as ``kind`` or as the kind it declares."""
     obj = _load(path, kind)
-    return CHECKERS[kind or to_jsonable(obj)["kind"]](obj)
+    return CHECKERS[kind or kind_of(obj)](obj)
 
 
 def _check(args) -> int:

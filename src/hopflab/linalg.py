@@ -76,7 +76,7 @@ class Matrix:
 
     @staticmethod
     def column(field: FieldSpec, vec: Iterable) -> "Matrix":
-        return Matrix.from_rows(field, [[x] for x in vec])
+        return Matrix.row_vector(field, vec).transpose()  # 0x1 for an empty vec
 
     @staticmethod
     def row_vector(field: FieldSpec, vec: Iterable) -> "Matrix":

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-from .linalg import Matrix
+from typing import Callable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -66,42 +64,30 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _entries(side) -> Dict[Tuple[int, int], object]:
-    """Nonzero entries keyed by (row, col); a Matrix is read entrywise."""
-    if isinstance(side, Matrix):
-        return {(i, j): x for i, r in enumerate(side.data) for j, x in enumerate(r) if x != 0}
-    return side
-
-
 def matrix_axiom(
     report: VerificationReport,
     name: str,
-    lhs: Callable[[], object],
-    rhs: Callable[[], object],
+    lhs: Callable[[], dict],
+    rhs: Callable[[], dict],
     row_label: Optional[Callable[[int], object]] = None,
     col_label: Optional[Callable[[int], object]] = None,
     transposed: bool = False,
 ) -> None:
     """Record whether two matrices agree entrywise, with a decoded witness if not.
 
-    ``lhs`` and ``rhs`` take no arguments and return a :class:`Matrix` or the
-    nonzero entries of one as a dict keyed by ``(row, col)``; the recorded
-    time covers evaluating both and comparing them.  The witness is the first
-    differing entry in row-major order.  With ``transposed`` the sides are the
-    transposes of the matrices the axiom is about, as when a dual axiom is
-    evaluated on transposed maps: the witness is then the first differing
-    entry in row-major order of those matrices, and positions, labels and
-    shapes refer to them.
+    ``lhs`` and ``rhs`` take no arguments and return the entries of a matrix
+    as a dict keyed by ``(row, col)``, an absent entry being zero; the
+    recorded time covers evaluating both and comparing them.  The witness is
+    the first differing entry in row-major order.  With ``transposed`` the
+    sides are the transposes of the matrices the axiom is about (a dual axiom
+    evaluated on transposed maps), and the witness, its order, positions and
+    labels refer to those matrices.
     """
     orient = (lambda pair: pair[::-1]) if transposed else (lambda pair: pair)
     start = time.perf_counter()
     left, right = lhs(), rhs()
     witness = None
-    if isinstance(left, Matrix) and isinstance(right, Matrix) and left.shape != right.shape:
-        witness = {"reason": "shape mismatch", "lhs_shape": orient(left.shape),
-                   "rhs_shape": orient(right.shape)}
-    elif left != right:
-        left, right = _entries(left), _entries(right)
+    if left != right:
         diff = [orient(k) for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0)]
         if diff:
             i, j = min(diff)

@@ -210,18 +210,23 @@ def _map_from_json(field: FieldSpec, name: str, data, *dims: int) -> Matrix:
     return Matrix.column(field, vec) if name == "unit" else Matrix.row_vector(field, vec)
 
 
-def to_jsonable(obj) -> dict:
-    for kind, (cls, schema, maps) in _CLASSICAL.items():
+def kind_of(obj) -> str:
+    """The kind ``obj`` is serialized as."""
+    for kind, (cls, *_) in {**_CLASSICAL, **_GRADED, "group": (FiniteGroup,)}.items():
         if isinstance(obj, cls):
-            out = _sc_header(obj, kind, schema)
-            for name in maps:
-                out[name] = _map_to_json(name, getattr(obj, name), obj.dim, obj.dim)
-            return out
-    if isinstance(obj, FiniteGroup):
-        return {"schema": "group/1", "kind": "group", **group_to_json(obj)}
-    if isinstance(obj, (HopfGroupAlgebra, HopfGroupCoalgebra)):
-        return _turaev_to_json(obj)
+            return kind
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def to_jsonable(obj) -> dict:
+    kind = kind_of(obj)
+    if kind == "group":
+        return {"schema": "group/1", "kind": "group", **group_to_json(obj)}
+    if kind in _GRADED:
+        return _turaev_to_json(obj)
+    _, schema, maps = _CLASSICAL[kind]
+    return {**_sc_header(obj, kind, schema),
+            **{name: _map_to_json(name, getattr(obj, name), obj.dim, obj.dim) for name in maps}}
 
 
 def group_to_json(g: FiniteGroup) -> dict:
@@ -243,7 +248,7 @@ def group_from_json(data: dict) -> FiniteGroup:
 
 
 def _turaev_to_json(h) -> dict:
-    kind = next(k for k, (cls, _, _) in _GRADED.items() if isinstance(h, cls))
+    kind = kind_of(h)
     maps, (graded, point) = _GRADED[kind][2], h._MAPS
     f, dims, grp = h.field, h.dims, h.group
     return {

@@ -11,10 +11,9 @@ nonzero entries of the dense matrix the axiom equates, keyed by their
 ``(row, col)`` position under the Kronecker index convention of
 :mod:`hopflab.linalg`.  Every entry comes from one basis tuple, so no
 Kronecker product or other dense intermediate is built and the cost follows
-the number of nonzero structure constants.  Given ``at = (cols, row)``, a
-side is only the block of its matrix on the columns ``cols``, renumbered
-from 0, with each row ``r`` re-keyed to ``row(r)``: a graded axiom is such a
-block of an axiom of the total algebra.
+the number of nonzero structure constants.  A side is always the whole
+matrix: :mod:`hopflab.turaev` reads each graded axiom off the sides of an
+axiom of the total Hopf algebra, as one block of them.
 
 Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
 by running the algebra axioms on :func:`rows` of its comultiplication (the
@@ -40,7 +39,6 @@ Vector = Dict[int, Scalar]  # index -> coefficient
 Columns = List[Vector]  # one sparse vector per matrix column
 Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
 Side = Callable[[], Entries]
-Block = Tuple[Sequence[int], Optional[Callable[[int], int]]]  # (columns, row re-keying)
 
 
 def _plain(x: Scalar) -> Scalar:
@@ -161,39 +159,33 @@ class Kernel:
             acc[k] = acc.get(k, 0) + sg * v
         return self.finish(acc)
 
-    def side(self, column: Callable[[int], Vector], count: int, at: Optional[Block] = None) -> Side:
-        """The side whose column ``c < count`` is ``column(c)``, or its block ``at``."""
-        if at is None:
-            return lambda: {(r, c): v for c in range(count) for r, v in column(c).items()}
-        cols, row = at
-        row = row or (lambda r: r)
-        return lambda: {(row(r), j): v for j, c in enumerate(cols) for r, v in column(c).items()}
+    def side(self, column: Callable[[int], Vector], count: int) -> Side:
+        """The side whose column ``c < count`` is ``column(c)``."""
+        return lambda: {(r, c): v for c in range(count) for r, v in column(c).items()}
 
-    def identity(self, at: Optional[Block] = None) -> Side:
+    def identity(self) -> Side:
         """The identity matrix, as a side."""
-        return self.side(lambda i: {i: 1}, self.n, at)
+        return self.side(lambda i: {i: 1}, self.n)
 
     # -- algebra axioms ----------------------------------------------------------
 
-    def associativity(self, m: Columns, at: Optional[Block] = None) -> Tuple[Side, Side]:
+    def associativity(self, m: Columns) -> Tuple[Side, Side]:
         """m (m (x) id) against m (id (x) m); column (i, j, l) is e_i e_j e_l."""
         n = self.n
-        return (
-            self.side(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3, at),
-            self.side(lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3, at),
-        )
+        return (self.side(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3),
+                self.side(lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3))
 
-    def unit_left(self, m: Columns, unit: Vector, at: Optional[Block] = None) -> Side:
+    def unit_left(self, m: Columns, unit: Vector) -> Side:
         """m (u (x) id): column j is u e_j."""
-        return self.side(lambda j: self.product(m, unit, {j: 1}), self.n, at)
+        return self.side(lambda j: self.product(m, unit, {j: 1}), self.n)
 
-    def unit_right(self, m: Columns, unit: Vector, at: Optional[Block] = None) -> Side:
+    def unit_right(self, m: Columns, unit: Vector) -> Side:
         """m (id (x) u): column i is e_i u."""
-        return self.side(lambda i: self.product(m, {i: 1}, unit), self.n, at)
+        return self.side(lambda i: self.product(m, {i: 1}, unit), self.n)
 
     # -- bialgebra and Hopf axioms -----------------------------------------------
 
-    def comult_mult(self, m: Columns, d: Columns, at: Optional[Block] = None) -> Tuple[Side, Side]:
+    def comult_mult(self, m: Columns, d: Columns) -> Tuple[Side, Side]:
         """Delta m against (m (x) m)(id (x) c (x) id)(Delta (x) Delta); column (i, j).
 
         The right side multiplies Delta(e_i) by Delta(e_j) in H (x) H, where
@@ -215,28 +207,26 @@ class Kernel:
                             acc[s * n + t] = acc.get(s * n + t, 0) + ab * c * e
             return self.finish(acc)
 
-        lhs = self.side(lambda ij: self.apply(d, m[ij]), n * n, at)
-        return lhs, self.side(rhs_column, n * n, at)
+        return self.side(lambda ij: self.apply(d, m[ij]), n * n), self.side(rhs_column, n * n)
 
-    def comult_unit(self, d: Columns, unit: Vector, at: Optional[Block] = None):
+    def comult_unit(self, d: Columns, unit: Vector) -> Tuple[Side, Side]:
         """Delta u against u (x) u."""
-        return (self.side(lambda _: self.apply(d, unit), 1, at),
-                self.side(lambda _: self.outer(unit, unit), 1, at))
+        return (self.side(lambda _: self.apply(d, unit), 1),
+                self.side(lambda _: self.outer(unit, unit), 1))
 
-    def counit_mult(self, m: Columns, counit: Vector, at: Optional[Block] = None):
+    def counit_mult(self, m: Columns, counit: Vector) -> Tuple[Side, Side]:
         """e m against e (x) e; column (i, j)."""
         n, eps = self.n, counit.get
         lhs = lambda ij: self.finish({0: sum(eps(k, 0) * c for k, c in m[ij].items())})
         rhs = lambda ij: self.finish({0: eps(ij // n, 0) * eps(ij % n, 0)})
-        return self.side(lhs, n * n, at), self.side(rhs, n * n, at)
+        return self.side(lhs, n * n), self.side(rhs, n * n)
 
     def counit_unit(self, unit: Vector, counit: Vector) -> Tuple[Side, Side]:
         """e u against 1."""
         value = lambda _: self.finish({0: sum(x * counit.get(k, 0) for k, x in unit.items())})
         return self.side(value, 1), self.side(lambda _: {0: 1}, 1)
 
-    def antipode(self, m: Columns, d: Columns, s: Columns, left: bool,
-                 at: Optional[Block] = None) -> Side:
+    def antipode(self, m: Columns, d: Columns, s: Columns, left: bool) -> Side:
         """m (S (x) id) Delta when ``left``, else m (id (x) S) Delta; column i."""
         n = self.n
 
@@ -249,12 +239,12 @@ class Kernel:
                     acc[k] = acc.get(k, 0) + c * v
             return self.finish(acc)
 
-        return self.side(column, n, at)
+        return self.side(column, n)
 
-    def unit_counit(self, unit: Vector, counit: Vector, at: Optional[Block] = None) -> Side:
+    def unit_counit(self, unit: Vector, counit: Vector) -> Side:
         """u e, the target of both antipode axioms; column i."""
         return self.side(lambda i: self.finish({a: x * counit.get(i, 0) for a, x in unit.items()}),
-                         self.n, at)
+                         self.n)
 
     # -- Lie axioms --------------------------------------------------------------
 

@@ -16,6 +16,7 @@ identity; the multiplication table is the single source of truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -269,10 +270,10 @@ def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, du
     group-coalgebra being checked: every axiom is reported under its dual name
     with the witness on the group-coalgebra's own matrices.
 
-    Each graded axiom is one block of the matching axiom of the total Hopf
-    algebra (the direct sum of the components), so it is evaluated by the
-    sparse kernel on the total's structure maps, on that block's columns
-    only, in block coordinates."""
+    Each graded axiom is the block of an axiom of the total Hopf algebra on
+    the columns whose tensor factors have its degrees.  The sparse kernel
+    evaluates each total axiom once, and each block reports the entries where
+    its sides differ there, in block coordinates."""
     grp = h.group
     rep.merge(check_group(grp), "group.")
     if not rep.ok:
@@ -281,39 +282,56 @@ def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, du
     for g in grp.elements():
         rep.merge(check_component(components[g]), f"H[{nm[g]}].")
     names = _DUAL_NAMES if dual else {}
-    dims, off, e = h.dims, _offsets(h.dims), grp.identity
-    total = total_hopf(h, validate=False)
-    n = total.dim
-    mult, comult, unit, counit, s = read_sparse(total)
+    dims, n = h.dims, sum(h.dims)
+    mult, comult, unit, counit, s = read_sparse(total_hopf(h, validate=False))
     k = sparse.Kernel(h.field, n)
-    spans = [range(off[g], off[g + 1]) for g in grp.elements()]
-    # Re-key a row of the total into H_g, or into H_g (x) H_g.
-    into = [lambda r, t=off[g]: r - t for g in grp.elements()]
-    into2 = [lambda r, t=off[g], d=dims[g]: (r // n - t) * d + r % n - t for g in grp.elements()]
+    where = [(g, a) for g in grp.elements() for a in range(dims[g])]  # (degree, index in H_g)
 
-    def axiom(stem, suffix, lhs, rhs):
-        matrix_axiom(rep, names.get(stem, stem) + suffix, lhs, rhs, transposed=dual)
+    def coords(x: int, factors: int):
+        """The degrees of the factors of the basis tuple ``x``, and its position in their block."""
+        block, pos = (), 0
+        for i in reversed(range(factors)):
+            g, a = where[x // n ** i % n]
+            block, pos = block + (g,), pos * dims[g] + a
+        return block, pos
 
-    for g, kk, l in itertools.product(grp.elements(), repeat=3):
-        cols = [(a * n + b) * n + c for a in spans[g] for b in spans[kk] for c in spans[l]]
-        axiom("assoc", f"[{nm[g]},{nm[kk]},{nm[l]}]",
-              *k.associativity(mult, (cols, into[grp.mul(grp.mul(g, kk), l)])))
-    for g in grp.elements():
-        at = (spans[g], into[g])
-        axiom("unit", f".right[{nm[g]}]", k.unit_right(mult, unit, at), k.identity(at))
-        axiom("unit", f".left[{nm[g]}]", k.unit_left(mult, unit, at), k.identity(at))
-    for g, kk in itertools.product(grp.elements(), repeat=2):
-        cols = [a * n + b for a in spans[g] for b in spans[kk]]
-        axiom("mult_coalg_morphism", f"[{nm[g]},{nm[kk]}]",
-              *k.comult_mult(mult, comult, (cols, into2[grp.mul(g, kk)])))
-        axiom("mult_counit", f"[{nm[g]},{nm[kk]}]", *k.counit_mult(mult, counit, (cols, None)))
-    axiom("unit_coalg_morphism", "", *k.comult_unit(comult, unit, ([0], into2[e])))
-    axiom("unit_counit", "", *k.counit_unit(unit, counit))
-    for g in grp.elements():
-        at = (spans[g], into[e])
-        target = k.unit_counit(unit, counit, at)
-        axiom("antipode", f".left[{nm[g]}]", k.antipode(mult, comult, s, True, at), target)
-        axiom("antipode", f".right[{nm[g]}]", k.antipode(mult, comult, s, False, at), target)
+    def blocks(sides, rows: int, cols: int):
+        """block -> its pair of sides of the total axiom ``sides``: both sides' entries
+        where the total's sides differ.  The total is evaluated in the first block's check."""
+        @functools.cache
+        def parts() -> dict:
+            left, right = (side() for side in sides)
+            out: dict = {}
+            for key in (left.keys() | right.keys()) if left != right else ():
+                if left.get(key, 0) != right.get(key, 0):
+                    block, col = coords(key[1], cols)
+                    at = (coords(key[0], rows)[1], col)
+                    lhs, rhs = out.setdefault(block, ({}, {}))
+                    lhs[at], rhs[at] = left.get(key, 0), right.get(key, 0)
+            return out
+
+        return lambda block: tuple(lambda i=i: parts().get(block, ({}, {}))[i] for i in (0, 1))
+
+    target = k.unit_counit(unit, counit)
+    # Each family: its columns' tensor factors, whose degrees index the blocks,
+    # and each axiom's name, sides and the tensor factors of its rows.
+    for arity, family in (
+        (3, [("assoc", "", k.associativity(mult), 1)]),
+        (1, [("unit", ".right", (k.unit_right(mult, unit), k.identity()), 1),
+             ("unit", ".left", (k.unit_left(mult, unit), k.identity()), 1)]),
+        (2, [("mult_coalg_morphism", "", k.comult_mult(mult, comult), 2),
+             ("mult_counit", "", k.counit_mult(mult, counit), 0)]),
+        (0, [("unit_coalg_morphism", "", k.comult_unit(comult, unit), 2),
+             ("unit_counit", "", k.counit_unit(unit, counit), 0)]),
+        (1, [("antipode", ".left", (k.antipode(mult, comult, s, True), target), 1),
+             ("antipode", ".right", (k.antipode(mult, comult, s, False), target), 1)]),
+    ):
+        splits = [(names.get(stem, stem) + suffix, blocks(sides, rows, arity))
+                  for stem, suffix, sides, rows in family]
+        for block in itertools.product(grp.elements(), repeat=arity):
+            label = f"[{','.join(nm[g] for g in block)}]" if block else ""
+            for name, split in splits:
+                matrix_axiom(rep, name + label, *split(block), transposed=dual)
     return rep
 
 

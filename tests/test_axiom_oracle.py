@@ -40,7 +40,7 @@ from hopflab.zoo import (
     truncated_poly,
 )
 from oracle import oracle_axiom_check, oracle_graded_axiom_check
-from test_turaev import truncated_family
+from test_turaev import concentrated_family, quotient_family, truncated_family
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -115,12 +115,14 @@ def test_untampered_inputs_pass_except_the_unsigned_exterior_algebra():
 # name -> (builder, nonzero stride, zero stride).  A graded check of a
 # multi-dimensional input costs tens of milliseconds, so the sweep samples
 # those inputs: every stride-th nonzero and zero entry in enumeration order.
-# Full sweeps of all eight forms take about 20 s; strides of 1 give them.
+# Full sweeps of all twelve forms take about 10 s; strides of 1 give them.
 GRADED_INPUTS = {
     "dagger(diag Z3/F3)": (lambda: dagger(diagonal_group_algebra(cyclic_group(3), F3)), 1, 1),
     "dagger(diag S3/F2)": (lambda: dagger(diagonal_group_algebra(symmetric_group(3), F2)), 3, 1),
     "sweedler4/Q over the trivial group": (lambda: hopf_as_group_coalgebra(sweedler4(Q)), 3, 24),
     "truncated_poly(3) over Z3": (truncated_family, 3, 20),
+    "truncated_poly(3) in degree e of Z2": (concentrated_family, 1, 1),
+    "kZ6/F3 graded by Z3": (quotient_family, 1, 1),
 }
 
 

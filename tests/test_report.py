@@ -1,16 +1,12 @@
 import time
 
-from hopflab.fields import FieldSpec
-from hopflab.linalg import Matrix
 from hopflab.report import VerificationReport, matrix_axiom
-
-Q = FieldSpec.rationals()
 
 
 def test_elapsed_covers_evaluating_both_sides():
     def slow_identity():
         time.sleep(0.02)
-        return Matrix.identity(Q, 2)
+        return {(0, 0): 1, (1, 1): 1}
 
     rep = VerificationReport("demo")
     matrix_axiom(rep, "slow", slow_identity, slow_identity)
@@ -26,23 +22,6 @@ def test_witness_is_first_difference_in_row_major_order():
     assert rep.checks[0].witness == {"row": "1", "col": "c0", "lhs": "5", "rhs": "0"}
 
 
-def test_matrix_and_entry_sides_compare_equal():
-    rep = VerificationReport("demo")
-    m = Matrix.from_rows(Q, [[0, "1/2"], [3, 0]])
-    matrix_axiom(rep, "mixed", lambda: m, lambda: {(0, 1): Q.coerce("1/2"), (1, 0): 3})
-    assert rep.ok
-
-
-def test_shape_mismatch_witness():
-    rep = VerificationReport("demo")
-    matrix_axiom(rep, "shapes", lambda: Matrix.zeros(Q, 1, 2), lambda: Matrix.zeros(Q, 2, 1))
-    assert rep.checks[0].witness == {
-        "reason": "shape mismatch",
-        "lhs_shape": (1, 2),
-        "rhs_shape": (2, 1),
-    }
-
-
 def test_transposed_witness_is_first_difference_of_the_transposes():
     # The sides differ at (0, 2), (1, 0) and (2, 1): at (2, 0), (0, 1) and
     # (1, 2) of the matrices the axiom is about, whose transposes they are.
@@ -51,7 +30,3 @@ def test_transposed_witness_is_first_difference_of_the_transposes():
     rhs = {(1, 1): 3, (2, 1): 7}
     matrix_axiom(rep, "dual", lambda: lhs, lambda: rhs, str, lambda j: f"c{j}", transposed=True)
     assert rep.checks[0].witness == {"row": "0", "col": "c1", "lhs": "5", "rhs": "0"}
-    shapes = VerificationReport("demo")
-    matrix_axiom(shapes, "dual", lambda: Matrix.zeros(Q, 1, 2), lambda: Matrix.zeros(Q, 2, 1),
-                 transposed=True)
-    assert shapes.checks[0].witness["lhs_shape"] == (2, 1)

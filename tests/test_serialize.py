@@ -25,7 +25,7 @@ from hopflab.zoo import (
     truncated_poly,
 )
 
-from test_turaev import truncated_family
+from test_turaev import concentrated_family, truncated_family
 
 Q = FieldSpec.rationals()
 F3 = FieldSpec.prime(3)
@@ -126,6 +126,16 @@ class TestGradedBytes:
             text = dumps(obj)
             assert hashlib.sha256(text.encode()).hexdigest() == digest
             assert dumps(from_jsonable(json.loads(text))) == text
+
+    def test_zero_dimensional_component_round_trips(self):
+        # dims (3, 0): the dagger's 0-dimensional component has a 0x1 unit
+        hga = concentrated_family()
+        for obj in (hga, dagger(hga)):
+            text = dumps(obj)
+            again = from_jsonable(json.loads(text))
+            assert dumps(again) == text
+            assert again == obj
+            assert dagger(dagger(again)) == obj
 
 
 class TestKinds:

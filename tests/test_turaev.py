@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopflab.fields import FieldSpec
-from hopflab.hopf import HopfAlgebraSC, check_hopf, dual_hopf
+from hopflab.hopf import CoalgebraSC, HopfAlgebraSC, check_hopf, dual_hopf
 from hopflab.linalg import Matrix
 from hopflab.primitives import indecomposables, michaelis_verify, primitives
 from hopflab.turaev import (
@@ -61,6 +61,56 @@ def truncated_family():
         graded_mult=tuple(tuple(h.mult for _ in order) for _ in order),
         unit=h.unit,
         antipodes=tuple(h.antipode for _ in order),
+    )
+
+
+def concentrated_family():
+    """truncated_poly(3) in degree e of Z2 and 0 in the other degree: a family
+    with a 0-dimensional component, dims (3, 0)."""
+    h, grp = truncated_poly(3), cyclic_group(2)
+    f, dims = h.field, (h.dim, 0)
+    empty = CoalgebraSC(field=f, dim=0, basis_names=(), comult=Matrix.zeros(f, 0, 0),
+                        counit=Matrix.zeros(f, 1, 0))
+    return HopfGroupAlgebra(
+        group=grp,
+        components=(h.coalgebra, empty),
+        graded_mult=tuple(
+            tuple(h.mult if g == k == 0 else Matrix.zeros(f, dims[grp.mul(g, k)], dims[g] * dims[k])
+                  for k in grp.elements())
+            for g in grp.elements()
+        ),
+        unit=h.unit,
+        antipodes=(h.antipode, Matrix.zeros(f, 0, 0)),
+    )
+
+
+def quotient_family():
+    """kZ6 over F3 graded by Z6 -> Z3: H_g = span{k_g, k_(g+3)}, with k_a k_b =
+    k_(a+b) and S(k_a) = k_(-a).  Its graded multiplications and antipodes are
+    permutation blocks off the diagonal, dims (2, 2, 2)."""
+    grp = cyclic_group(3)
+
+    def perm(rows, image, cols):
+        """The 0/1 matrix whose column j is the basis vector image(j)."""
+        return Matrix.from_rows(F3, [[int(image(j) == i) for j in range(cols)] for i in range(rows)])
+
+    def where(a):  # the index of k_a in its component H_(a mod 3)
+        return a % 6 // 3
+
+    return HopfGroupAlgebra(
+        group=grp,
+        components=tuple(
+            CoalgebraSC(field=F3, dim=2, basis_names=(f"k{g}", f"k{g + 3}"),
+                        comult=perm(4, lambda j: 3 * j, 2), counit=Matrix.from_rows(F3, [[1, 1]]))
+            for g in grp.elements()
+        ),
+        graded_mult=tuple(
+            tuple(perm(2, lambda ij, g=g, k=k: where(g + k + 3 * (ij // 2 + ij % 2)), 4)
+                  for k in grp.elements())
+            for g in grp.elements()
+        ),
+        unit=Matrix.column(F3, [1, 0]),
+        antipodes=tuple(perm(2, lambda i, g=g: where(-g - 3 * i), 2) for g in grp.elements()),
     )
 
 
@@ -309,6 +359,17 @@ class TestGroupMichaelis:
         cert = group_michaelis_verify(diagonal_group_algebra(cyclic_group(5), F5))
         assert cert.verified
         assert cert.dims == ((0, 0), (1, 1), (1, 1), (1, 1), (1, 1))
+
+    def test_zero_dimensional_component(self):
+        cert = group_michaelis_verify(concentrated_family())
+        assert cert.verified
+        assert cert.dims == ((1, 1), (0, 0))
+
+    def test_quotient_grading_has_primitives_outside_e(self):
+        # nonzero P_g for g != e on 2-dimensional components
+        cert = group_michaelis_verify(quotient_family())
+        assert cert.verified
+        assert cert.dims == ((0, 0), (1, 1), (1, 1))
 
     def test_diag_s3_rational_all_zero(self):
         cert = group_michaelis_verify(diagonal_group_algebra(symmetric_group(3), Q))
