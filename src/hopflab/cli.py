@@ -71,7 +71,7 @@ class CliInputError(Exception):
 def _load(path, kind=None):
     try:
         return load(path, kind)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"malformed input {path}: {exc}")

@@ -64,6 +64,11 @@ class TestCheck:
     def test_kind_from_file(self, sweedler_file):
         assert main(["check", str(sweedler_file)]) == 0
 
+    def test_directory_exits_two(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {tmp_path}: ")
+
     def test_json_report(self, sweedler_file, capsys):
         assert main(["check", str(sweedler_file), "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
@@ -352,6 +357,12 @@ class TestVerifySuite:
         junk = tmp_path / "junk.json"
         junk.write_text("{")
         assert main(["verify-suite", str(sweedler_file), str(junk)]) == 2
+
+    def test_directory_is_an_input_error_of_its_own(self, sweedler_file, tmp_path, capsys):
+        assert main(["verify-suite", str(sweedler_file), str(tmp_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{sweedler_file}: ok"
+        assert lines[1].startswith(f"{tmp_path}: input error: cannot read {tmp_path}: ")
 
     def test_deterministic_output_order(self, sweedler_file, diag_z3_file, capsys):
         main(["verify-suite", str(sweedler_file), str(diag_z3_file)])
