@@ -24,15 +24,7 @@ from typing import Callable, Optional, Tuple
 
 from .errors import InvalidStructureError, ShapeError
 from .fields import FieldSpec, same_field
-from .linalg import (
-    Matrix,
-    Parity,
-    Subspace,
-    nullspace,
-    solve_particular,
-    swap_map,
-    tensor,
-)
+from .linalg import Echelon, Matrix, Parity, Subspace, solve, swap_map, tensor
 from . import sparse
 from .report import VerificationReport, matrix_axiom
 
@@ -318,17 +310,17 @@ def left_integrals(h: HopfAlgebraSC, validate: bool = True) -> Subspace:
     """
     if validate:
         require_valid(h, check_hopf, "left_integrals input")
-    f = h.field
     n = h.dim
-    unit_coeffs = h.unit.col(0)
-    rows = []
     # Row (i, j): sum_l Delta[(i,l),j] t_l - unit_i t_j = 0.
-    for i in range(n):
+    rows: sparse.Columns = [{} for _ in range(n * n)]
+    for j, delta in enumerate(sparse.columns(h.comult)):
+        for il, x in delta.items():
+            i, l = divmod(il, n)
+            rows[i * n + j][l] = x
+    for i, u in sparse.vector(h.unit.col(0)).items():
         for j in range(n):
-            row = [h.comult.data[i * n + l][j] for l in range(n)]
-            row[j] = f.sub(row[j], unit_coeffs[i])
-            rows.append(row)
-    return nullspace(Matrix.from_rows(f, rows))
+            rows[i * n + j][j] = rows[i * n + j].get(j, 0) - u
+    return Echelon(h.field, n, rows).kernel()
 
 
 def solve_antipode(b: BialgebraSC) -> Optional[Matrix]:
@@ -352,9 +344,10 @@ def solve_antipode(b: BialgebraSC) -> Optional[Matrix]:
                 for l, v in mult[r * n + y].items():
                     col[l * n + j] = col.get(l * n + j, 0) + d * v
     target = {a * n + i: x for (a, i), x in k.unit_counit(unit, counit)().items()}  # u e, flattened
-    flat = solve_particular(sparse.matrix(f, n * n, system), sparse.dense(f, n * n, target))
-    if flat is None:
+    x = solve(f, n * n, sparse.transpose(system, n * n), target)
+    if x is None:
         return None
+    flat = sparse.dense(f, n * n, x)
     s = Matrix(f, n, n, tuple(flat[i * n : i * n + n] for i in range(n)))
     right = k.antipode(mult, comult, sparse.columns(s), left=False)()
     return s if right == k.unit_counit(unit, counit)() else None

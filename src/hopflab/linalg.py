@@ -1,7 +1,13 @@
-"""Dense exact linear algebra: matrices, subspaces, quotients, tensor products.
+"""Exact linear algebra: matrices, the elimination, subspaces, quotients,
+tensor products.
 
-Everything here is immutable and pure.  Matrices are dense with entries in an
-exact field (see :mod:`hopflab.fields`); equality is entrywise and exact.
+Matrices are immutable and dense with entries in an exact field (see
+:mod:`hopflab.fields`); equality is entrywise and exact.  Every elimination
+of the package (``rref``, ``rank``, ``nullspace``, solving, the
+:class:`Subspace` operations and ``quotient``) runs in one place,
+:class:`Echelon`, on sparse rows ``{index: coefficient}``.  Its results come
+back through the canonical reduced row-echelon form, which depends only on
+the span, so they are the same bits whatever order the rows arrive in.
 
 Tensor (Kronecker) index convention, used everywhere in the package: the
 basis vector ``e_i (x) f_j`` of ``V (x) W`` sits at flat index
@@ -12,13 +18,17 @@ round-trip bit-exactly through any re-bracketing.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ShapeError
 from .fields import FieldSpec, Scalar, same_field
 
 Parity = Tuple[int, ...]  # one 0 (even) / 1 (odd) per basis index
+Vector = Dict[int, Scalar]  # index -> nonzero coefficient
 
 EVEN, ODD = 0, 1
 
@@ -179,20 +189,6 @@ class Matrix:
         return f"[{body}]"
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    f = same_field(a.field, b.field)
-    if a.rows != b.rows:
-        raise ShapeError("hstack needs equal row counts")
-    return Matrix(f, a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.data, b.data)))
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    f = same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise ShapeError("vstack needs equal column counts")
-    return Matrix(f, a.rows + b.rows, a.cols, a.data + b.data)
-
-
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with flat index (i, j) -> i * dim_b + j."""
     f = same_field(a.field, b.field)
@@ -270,33 +266,143 @@ def swap_map(
     return Matrix(field, n, n, tuple(tuple(r) for r in grid))
 
 
-# -- row reduction and solving ----------------------------------------------
+# -- the elimination -----------------------------------------------------------
+
+
+def plain(x: Scalar) -> Scalar:
+    """``x``, read as an ``int`` when it is an integral rational: an equal value
+    with far cheaper arithmetic."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def vector(values: Sequence[Scalar]) -> Vector:
+    """The nonzero entries of a dense vector."""
+    return {i: plain(x) for i, x in enumerate(values) if x != 0}
+
+
+def finish(p: int, acc: dict) -> dict:
+    """Accumulated coefficients reduced into the field of characteristic ``p``,
+    with the zeros dropped."""
+    if p:
+        return {k: r for k, x in acc.items() if (r := x % p)}
+    return {k: x for k, x in acc.items() if x != 0}
+
+
+def dense(field: FieldSpec, n: int, v: Vector) -> Tuple[Scalar, ...]:
+    """``v`` as a length-``n`` tuple of canonical scalars."""
+    out = [field.zero] * n
+    for i, x in v.items():
+        out[i] = field.coerce(x)
+    return tuple(out)
+
+
+class Echelon:
+    """A subspace of k^width held as sparse pivot rows: each row has
+    coefficient 1 at its pivot, its smallest index, and no two rows share a
+    pivot.  All elimination in the package runs here.
+
+    Scalars are plain Python numbers: residues modulo p, reduced once per
+    finished row, and over the rationals ``int`` while a value stays
+    integral, else ``Fraction``.
+    """
+
+    def __init__(self, field: FieldSpec, width: int, vectors: Iterable[Vector] = ()) -> None:
+        self.field, self.width, self.p = field, width, field.characteristic
+        self.rows: Dict[int, Vector] = {}  # pivot -> row
+        self.pivots: List[int] = []  # sorted
+        for v in vectors:
+            self.insert(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, v: Vector) -> Vector:
+        """``v`` minus its component along the rows: zero exactly when ``v`` is in
+        the span, and otherwise nonzero at no pivot."""
+        p, acc = self.p, dict(v)
+        for pivot in self.pivots:  # a row only reaches indices above its pivot
+            if not acc:
+                break
+            c = acc.pop(pivot, 0)
+            if p:
+                c %= p
+            if c:
+                for k, x in self.rows[pivot].items():
+                    if k != pivot:
+                        acc[k] = acc.get(k, 0) - c * x
+        return finish(self.p, acc)
+
+    def insert(self, v: Vector) -> Vector:
+        """Reduce ``v`` and add the remainder, if nonzero, as a row scaled to 1
+        at its pivot; return the remainder."""
+        r = self.reduce(v)
+        if r:
+            pivot = min(r)
+            c, row = r[pivot], r
+            if c != 1:
+                p, inv = self.p, self.field.inv(c)
+                row = {k: (x * inv) % p if p else plain(x * inv) for k, x in r.items()}
+            self.rows[pivot] = row
+            bisect.insort(self.pivots, pivot)
+        return r
+
+    def canonical(self) -> List[Vector]:
+        """The rows in pivot order, back-substituted in place so that each is zero
+        at every other pivot: the unique reduced row-echelon basis of the span."""
+        rows = self.rows
+        for pivot in reversed(self.pivots):  # the rows below are already reduced
+            above = [q for q in rows[pivot] if q != pivot and q in rows]
+            if above:
+                acc = dict(rows[pivot])
+                for q in above:
+                    c = acc.pop(q)
+                    for k, x in rows[q].items():
+                        if k != q:
+                            acc[k] = acc.get(k, 0) - c * x
+                rows[pivot] = finish(self.p, acc)
+        return [rows[q] for q in self.pivots]
+
+    def free_generators(self) -> Dict[int, Vector]:
+        """For each non-pivot index c, the solution of the rows' equations whose
+        free coordinates are 1 at c and 0 elsewhere: e_c minus r[c] e_q over
+        the canonical rows r, q the pivot of r."""
+        gens = {c: {c: 1} for c in range(self.width) if c not in self.rows}
+        for pivot, row in zip(self.pivots, self.canonical()):
+            for k, x in row.items():
+                if k != pivot:
+                    gens[k][pivot] = -x
+        return gens
+
+    def subspace(self) -> "Subspace":
+        """The span, in canonical form."""
+        f, n = self.field, self.width
+        rows = self.canonical()
+        return Subspace(n, Matrix(f, len(rows), n, tuple(dense(f, n, r) for r in rows)))
+
+    def kernel(self) -> "Subspace":
+        """The solution space {x : r . x = 0 for every row r}, in canonical form."""
+        return Echelon(self.field, self.width, self.free_generators().values()).subspace()
+
+
+def solve(field: FieldSpec, width: int, rows: Sequence[Vector], rhs: Vector) -> Optional[Vector]:
+    """One x with ``rows[i] . x == rhs[i]`` for every i, or None.  The free
+    variables are zero, so the choice is canonical and repeated runs give
+    bit-identical representatives."""
+    aug = Echelon(field, width + 1, ({**r, width: rhs[i]} if i in rhs else r
+                                    for i, r in enumerate(rows)))
+    if width in aug.rows:
+        return None
+    return {pivot: row[width] for pivot, row in zip(aug.pivots, aug.canonical()) if width in row}
 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns, exactly."""
     f = m.field
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != f.one:
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(f, nrows, ncols, tuple(tuple(row) for row in rows)), tuple(pivots)
+    e = Echelon(f, m.cols, map(vector, m.data))
+    rows = tuple(dense(f, m.cols, r) for r in e.canonical())
+    zero = (f.zero,) * m.cols
+    return Matrix(f, m.rows, m.cols, rows + (zero,) * (m.rows - e.dim)), tuple(e.pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -304,43 +410,17 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix) -> "Subspace":
-    """The solution space {x : m x = 0} in canonical form.
-
-    It depends only on the row space of ``m``, so only the distinct nonzero
-    rows enter the elimination.
-    """
-    f = m.field
-    rows = tuple(dict.fromkeys(r for r in m.data if any(r)))
-    red, pivots = rref(Matrix(f, len(rows), m.cols, rows))
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    gens = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][fc])
-        gens.append(v)
-    return Subspace.from_vectors(f, m.cols, gens)
+    """The solution space {x : m x = 0} in canonical form."""
+    return Echelon(m.field, m.cols, map(vector, m.data)).kernel()
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
-    """One solution of ``a x = b`` (free variables set to zero), or None.
-
-    The choice is the RREF-canonical one, so repeated runs give bit-identical
-    representatives.
-    """
-    f = a.field
-    bcol = Matrix.column(f, b)
-    if bcol.rows != a.rows:
+    """One solution of ``a x = b`` (free variables set to zero), or None; see
+    :func:`solve`."""
+    if len(b) != a.rows:
         raise ShapeError("right-hand side length mismatch")
-    red, pivots = rref(hstack(a, bcol))
-    if a.cols in pivots:
-        return None
-    x = [f.zero] * a.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][a.cols]
-    return tuple(x)
+    x = solve(a.field, a.cols, [vector(r) for r in a.data], vector(b))
+    return None if x is None else dense(a.field, a.cols, x)
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -371,15 +451,12 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        if not rows:
-            return Subspace.zero(field, ambient_dim)
-        m = Matrix.from_rows(field, rows)
-        if m.cols != ambient_dim:
-            raise ShapeError("generator length does not match ambient dimension")
-        red, pivots = rref(m)
-        basis = Matrix(field, len(pivots), ambient_dim, red.data[: len(pivots)])
-        return Subspace(ambient_dim, basis)
+        span = Echelon(field, ambient_dim)
+        for v in vectors:
+            if len(v) != ambient_dim:
+                raise ShapeError("generator length does not match ambient dimension")
+            span.insert(vector(v))
+        return span.subspace()
 
     @property
     def field(self) -> FieldSpec:
@@ -389,59 +466,45 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @functools.cached_property
+    def echelon(self) -> Echelon:
+        """The basis as an :class:`Echelon`, built once per subspace; read it,
+        do not add to it."""
+        return Echelon(self.field, self.ambient_dim, map(vector, self.basis.data))
+
     @property
     def pivots(self) -> Tuple[int, ...]:
-        piv = []
-        for row in self.basis.data:
-            piv.append(next(j for j, x in enumerate(row) if x != 0))
-        return tuple(piv)
-
-    def reduce(self, vec: Sequence) -> Tuple[Scalar, ...]:
-        """Residue of ``vec`` after clearing all pivot coordinates."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length does not match ambient dimension")
-        for row, p in zip(self.basis.data, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        return tuple(self.echelon.pivots)
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        if len(vec) != self.ambient_dim:
+            raise ShapeError("vector length does not match ambient dimension")
+        return not self.echelon.reduce(vector(vec))
 
     def coordinates_of(self, vec: Sequence) -> Tuple[Scalar, ...]:
         """Coefficients of ``vec`` in the RREF basis; raises if not a member."""
-        f = self.field
-        v = tuple(f.coerce(x) for x in vec)
-        coords = tuple(v[p] for p in self.pivots)
-        if not all(x == 0 for x in self.reduce(v)):
+        if not self.contains(vec):
             raise ValueError("vector is not in the subspace")
-        return coords
+        coerce = self.field.coerce
+        return tuple(coerce(vec[p]) for p in self.echelon.pivots)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        gens = list(self.basis.data) + list(other.basis.data)
-        return Subspace.from_vectors(self.field, self.ambient_dim, gens)
+        return Subspace.from_vectors(self.field, self.ambient_dim, self.basis.data + other.basis.data)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: in an echelon of the rows (a | a), a in self, and (b | 0),
+        b in other, the rows with their pivot in the right half are (0 | x) for
+        x running through a basis of the intersection."""
         self._check_compatible(other)
-        f = self.field
-        ra, rb = self.dim, other.dim
-        if ra == 0 or rb == 0:
-            return Subspace.zero(f, self.ambient_dim)
-        stacked = vstack(self.basis, -other.basis).transpose()  # n x (ra+rb)
-        coeffs = nullspace(stacked)
-        gens = []
-        for crow in coeffs.basis.data:
-            vec = [f.zero] * self.ambient_dim
-            for i in range(ra):
-                c = crow[i]
-                if c != 0:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, self.basis.data[i])]
-            gens.append(vec)
-        return Subspace.from_vectors(f, self.ambient_dim, gens)
+        n = self.ambient_dim
+        stacked = Echelon(self.field, 2 * n)
+        for a in map(vector, self.basis.data):
+            stacked.insert({**a, **{n + k: x for k, x in a.items()}})
+        for b in map(vector, other.basis.data):
+            stacked.insert(b)
+        right = ({k - n: x for k, x in row.items()} for q, row in stacked.rows.items() if q >= n)
+        return Echelon(self.field, n, right).subspace()
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -476,28 +539,18 @@ class QuotientSpace:
 
 
 def quotient(ambient_dim: int, s: Subspace) -> QuotientSpace:
+    """The projection's rows are the free-column generators of ``s``, those
+    that :func:`nullspace` solves with; the section is the inclusion of the
+    free coordinates."""
     if s.ambient_dim != ambient_dim:
         raise ShapeError("subspace ambient dimension mismatch")
-    f = s.field
-    pivots = s.pivots
-    pivot_set = set(pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    zero, one = f.zero, f.one
-    proj = [[zero] * ambient_dim for _ in range(q)]
-    for t, fc in enumerate(free):
-        proj[t][fc] = one
-        for r, pc in enumerate(pivots):
-            proj[t][pc] = f.neg(s.basis.data[r][fc])
-    sect = [[zero] * q for _ in range(ambient_dim)]
-    for t, fc in enumerate(free):
-        sect[fc][t] = one
-    return QuotientSpace(
-        ambient_dim,
-        s,
-        Matrix(f, ambient_dim, q, tuple(tuple(r) for r in sect)),
-        Matrix(f, q, ambient_dim, tuple(tuple(r) for r in proj)),
-    )
+    f, n = s.field, ambient_dim
+    gens = s.echelon.free_generators()
+    slot = {c: t for t, c in enumerate(gens)}
+    q = len(slot)
+    sect = tuple(dense(f, q, {slot[c]: 1} if c in slot else {}) for c in range(n))
+    proj = tuple(dense(f, n, g) for g in gens.values())
+    return QuotientSpace(n, s, Matrix(f, n, q, sect), Matrix(f, q, n, proj))
 
 
 # -- parity helpers ----------------------------------------------------------

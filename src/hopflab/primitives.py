@@ -38,7 +38,9 @@ from .lie import (
     dual_lie,
     lie_morphism_check,
 )
-from .linalg import Matrix, QuotientSpace, Subspace, nullspace, quotient, rank, subspace_parities
+from .linalg import (
+    Echelon, Matrix, QuotientSpace, Subspace, nullspace, quotient, rank, subspace_parities,
+)
 from . import sparse
 
 
@@ -79,20 +81,19 @@ def restricted_bracket(h: AlgebraSC, space: Subspace, where: str) -> LieAlgebraS
     bracket_h = k.braided(sparse.columns(h.mult), -1)
     basis = [sparse.vector(v) for v in space.basis.data]
     p = len(basis)
-    cols = []
+    cols = []  # a member's coordinates in the RREF basis are its entries at the pivots
     for a in range(p):
         for b in range(p):
-            w = sparse.dense(f, n, k.product(bracket_h, basis[a], basis[b]))
-            if not space.contains(w):
+            w = k.product(bracket_h, basis[a], basis[b])
+            if space.echelon.reduce(w):
                 raise InvariantViolation(
                     f"{where}: bracket of basis vectors {a},{b} leaves the subspace"
                 )
-            cols.append(space.coordinates_of(w))
-    bracket = Matrix(f, p, p * p, tuple(tuple(cols[c][i] for c in range(p * p)) for i in range(p)))
+            cols.append({i: w[q] for i, q in enumerate(space.pivots) if q in w})
     lie = LieAlgebraSC(
         field=f,
         dim=p,
-        bracket=bracket,
+        bracket=sparse.matrix(f, p, cols),
         parity=subspace_parities(space, h.parity),
     )
     rep = check_lie(lie)
@@ -112,7 +113,7 @@ def primitives(h: HopfAlgebraSC, validate: bool = True) -> PrimitiveSpace:
         for j in range(n):
             for row in (system[a * n + j], system[j * n + a]):
                 row[j] = row.get(j, 0) - u
-    space = nullspace(sparse.matrix(f, n, system).transpose())
+    space = Echelon(f, n, system).kernel()
     lie = restricted_bracket(h, space, "primitives")
     return PrimitiveSpace(parent=h, space=space, lie=lie)
 
@@ -126,9 +127,8 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
     mult = sparse.columns(h.mult)
     ker_eps = nullspace(h.counit)
     kv = [sparse.vector(v) for v in ker_eps.basis.data]
-    # The products of basis pairs span (ker e)^2; repeats and zeros add nothing.
-    products = {sparse.dense(f, n, xy) for a in kv for b in kv if (xy := k.product(mult, a, b))}
-    ker_eps_sq = Subspace.from_vectors(f, n, products)
+    # The products of basis pairs span (ker e)^2.
+    ker_eps_sq = Echelon(f, n, (k.product(mult, a, b) for a in kv for b in kv)).subspace()
     if not ker_eps_sq.is_subspace_of(ker_eps):
         raise InvariantViolation("(ker e)^2 not contained in ker e")
     # pi(x) = [x - e(x) 1] factors through H / ((ker e)^2 + k.1); adding the
@@ -149,7 +149,7 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
         raise InvariantViolation("commutator cobracket does not factor through pi")
     q_parity = None
     if h.parity is not None:
-        free = [c for c in range(n) if c not in set(kernel.pivots)]
+        free = [c for c in range(n) if c not in kernel.echelon.rows]
         q_parity = tuple(h.parity[c] for c in free)
     cobracket = sparse.matrix(f, q * q, upsilon_q)
     lie_co = LieCoalgebraSC(field=f, dim=q, cobracket=cobracket, parity=q_parity)

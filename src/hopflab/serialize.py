@@ -184,6 +184,11 @@ _GRADED = {
     "turaev-coalg": (HopfGroupCoalgebra, AlgebraSC, ("mult", "unit")),
 }
 
+# The most entries a (co)multiplication or (co)bracket may have: its dense grid
+# is allocated from the declared dimensions before any triple is read.  The
+# largest zoo input, exterior_super(8) of dimension 2**8, has 2**24.
+MAX_MAP_ENTRIES = 2 ** 24
+
 # The triple form of each (co)multiplication and (co)bracket, graded or not.
 _MULT, _COMULT = (mult_to_triples, mult_from_triples), (comult_to_triples, comult_from_triples)
 _TRIPLES = {"mult": _MULT, "bracket": _MULT, "graded_mult": _MULT,
@@ -202,6 +207,10 @@ def _map_from_json(field: FieldSpec, name: str, data, *dims: int) -> Matrix:
     """The inverse of ``_map_to_json``; for triples ``dims`` is the dimension
     of the unfactored side followed by those of the two factors."""
     if name in _TRIPLES:
+        entries = dims[0] * dims[1] * dims[2]
+        if entries > MAX_MAP_ENTRIES:
+            raise ValueError(f"{name} would have {entries} entries at the declared dimensions, "
+                             f"more than the {MAX_MAP_ENTRIES} a structure map may have")
         return _TRIPLES[name][1](field, *dims, data)
     if name == "antipode":
         return matrix_from_json(field, data)
@@ -285,14 +294,15 @@ def from_jsonable(data: dict, kind: Optional[str] = None):
     if kind in _GRADED:
         return _turaev_from_json(field, data, kind)
     dim = _read(data["dim"], "dim")
-    cls, _, maps = _CLASSICAL[kind]
+    cls, _, names = _CLASSICAL[kind]
+    maps = {name: _map_from_json(field, name, data[name], dim, dim, dim) for name in names}
     return cls(
         field=field,
         dim=dim,
         basis_names=_read(data.get("basis_names", [f"e{i}" for i in range(dim)]),
                           "basis_names", str),
         parity=parity_from_json(data["parity"]) if "parity" in data else None,
-        **{name: _map_from_json(field, name, data[name], dim, dim, dim) for name in maps},
+        **maps,
     )
 
 

@@ -27,28 +27,24 @@ permutation of basis tuples (:meth:`Kernel.braided`), never a matrix.
 
 Scalars are plain Python numbers during evaluation: integral rationals are
 read as ``int`` (equal values, far cheaper arithmetic) and prime-field
-residues are reduced once per finished entry.  :func:`dense` and
-:func:`matrix` turn results back into canonical field scalars.
+residues are reduced once per finished entry.  The vectors are those of
+:mod:`hopflab.linalg` (:func:`vector`, :func:`dense`), so they go straight
+into its :class:`~hopflab.linalg.Echelon`, which also holds the span of
+:meth:`Kernel.generators`; :func:`dense` and :func:`matrix` turn results
+back into canonical field scalars.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, Parity
+from .linalg import Echelon, Matrix, Parity, Vector, dense, finish, plain, vector
 
-Vector = Dict[int, Scalar]  # index -> coefficient
 Columns = List[Vector]  # one sparse vector per matrix column
 Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
 Side = Callable[[], Entries]
-
-
-def _plain(x: Scalar) -> Scalar:
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def columns(m: Matrix) -> Columns:
@@ -57,13 +53,13 @@ def columns(m: Matrix) -> Columns:
     for r, row in enumerate(m.data):
         for c, x in enumerate(row):
             if x != 0:
-                cols[c][r] = _plain(x)
+                cols[c][r] = plain(x)
     return cols
 
 
 def rows(m: Matrix) -> Columns:
     """The nonzero entries of each row of ``m``: the columns of its transpose."""
-    return [{c: _plain(x) for c, x in enumerate(row) if x != 0} for row in m.data]
+    return [vector(row) for row in m.data]
 
 
 def transpose(cols: Columns, height: int) -> Columns:
@@ -73,15 +69,6 @@ def transpose(cols: Columns, height: int) -> Columns:
         for r, x in col.items():
             out[r][c] = x
     return out
-
-
-def vector(values: Sequence[Scalar]) -> Vector:
-    return {i: _plain(x) for i, x in enumerate(values) if x != 0}
-
-
-def dense(field: FieldSpec, n: int, v: Vector) -> Tuple[Scalar, ...]:
-    """``v`` as a length-``n`` tuple of canonical scalars."""
-    return tuple(field.coerce(v.get(i, 0)) for i in range(n))
 
 
 def matrix(field: FieldSpec, height: int, cols: Columns) -> Matrix:
@@ -98,51 +85,11 @@ def zero() -> Entries:
     return {}
 
 
-class Echelon:
-    """A subspace held as sparse pivot rows over the scalars of a :class:`Kernel`
-    in characteristic ``p``: each row has coefficient 1 at its pivot, its
-    smallest index, and no two rows share a pivot."""
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        self.rows: Dict[int, Vector] = {}  # pivot -> row
-        self.pivots: List[int] = []  # sorted
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, v: Vector) -> Vector:
-        """``v`` minus its component along the rows: zero exactly when ``v`` is in
-        the span, and otherwise nonzero at no pivot."""
-        p, acc = self.p, dict(v)
-        for pivot in self.pivots:  # a row only reaches indices above its pivot
-            c = acc.pop(pivot, 0)
-            if p:
-                c %= p
-            if c:
-                for k, x in self.rows[pivot].items():
-                    if k != pivot:
-                        acc[k] = acc.get(k, 0) - c * x
-        if p:
-            return {k: r for k, x in acc.items() if (r := x % p)}
-        return {k: x for k, x in acc.items() if x != 0}
-
-    def add(self, v: Vector) -> None:
-        """Add a nonzero remainder of :meth:`reduce` as a row."""
-        pivot = min(v)
-        c = v[pivot]
-        inv = pow(c, -1, self.p) if self.p else 1 / Fraction(c)
-        self.rows[pivot] = {k: (x * inv) % self.p if self.p else _plain(x * inv)
-                            for k, x in v.items()}
-        bisect.insort(self.pivots, pivot)
-
-
 class Kernel:
     """Sparse arithmetic on one carrier of dimension ``n`` over one field."""
 
     def __init__(self, field: FieldSpec, n: int, parity: Optional[Parity] = None) -> None:
-        self.p = field.characteristic
+        self.field, self.p = field, field.characteristic
         self.n = n
         self.odd = parity if parity is not None else (0,) * n
 
@@ -152,10 +99,7 @@ class Kernel:
 
     def finish(self, acc: Dict[Hashable, Scalar]) -> dict:
         """Reduce accumulated coefficients into the field and drop zeros."""
-        p = self.p
-        if p:
-            return {k: r for k, v in acc.items() if (r := v % p)}
-        return {k: v for k, v in acc.items() if v != 0}
+        return finish(self.p, acc)
 
     def product(self, m: Columns, x: Vector, y: Vector) -> Vector:
         """The bilinear map with columns ``m`` applied to ``x (x) y``."""
@@ -219,7 +163,7 @@ class Kernel:
         """Basis indices S whose left-normed products under ``m`` span the carrier,
         chosen greedily in basis order: each index not in the span of the
         products of those before it."""
-        span, gens = Echelon(self.p), []
+        span, gens = Echelon(self.field, self.n), []
         for t in range(self.n):
             if span.dim == self.n:
                 break
@@ -228,9 +172,7 @@ class Kernel:
             gens.append(t)
             queue = [{t: 1}, *(self.product(m, w, {t: 1}) for w in span.rows.values())]
             while queue and span.dim < self.n:
-                v = span.reduce(queue.pop())
-                if v:
-                    span.add(v)
+                if v := span.insert(queue.pop()):
                     queue.extend(self.product(m, v, {s: 1}) for s in gens)
         return gens
 

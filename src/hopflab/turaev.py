@@ -35,7 +35,7 @@ from .hopf import (
     require_valid,
 )
 from .lie import LieAlgebraSC, LieCoalgebraSC, check_lie_coalgebra
-from .linalg import Matrix, Subspace, nullspace, solve_particular
+from .linalg import Echelon, Matrix, Subspace, nullspace, solve, solve_particular
 from .primitives import (
     IndecomposableSpace,
     alpha_clauses,
@@ -598,14 +598,11 @@ def g_indecomposables(h: HopfGroupAlgebra, validate: bool = True) -> GIndecompos
     n = total.dim
     qdim = q.quotient.dim
 
-    per_g = []
-    for g in grp.elements():
-        cols = [q.pi.col(off[g] + a) for a in range(dims[g])]
-        per_g.append(Subspace.from_vectors(f, qdim, cols))
+    pi, mult = sparse.columns(q.pi), sparse.columns(total.mult)
+    per_g = [Echelon(f, qdim, pi[off[g] : off[g + 1]]).subspace() for g in grp.elements()]
 
     # pi(x y) = pi(x) e(y) + e(x) pi(y) on homogeneous basis pairs.
     kt, kq = sparse.Kernel(f, n), sparse.Kernel(f, qdim)
-    pi, mult = sparse.columns(q.pi), sparse.columns(total.mult)
     eps = sparse.vector(total.counit.row(0))
     for a in range(n):
         for b in range(n):
@@ -622,14 +619,14 @@ def g_indecomposables(h: HopfGroupAlgebra, validate: bool = True) -> GIndecompos
         if k == 0:
             per_g_lie.append(LieCoalgebraSC(field=f, dim=0, cobracket=Matrix.zeros(f, 0, 0)))
             continue
-        kron_mat = sparse.matrix(f, qdim * qdim, [kq.outer(x, y) for x in basis for y in basis])
+        kron_rows = sparse.transpose([kq.outer(x, y) for x in basis for y in basis], qdim * qdim)
         cob_cols = []
         for x in basis:
-            sol = solve_particular(kron_mat, sparse.dense(f, qdim * qdim, kq.apply(upsilon_q, x)))
+            sol = solve(f, k * k, kron_rows, kq.apply(upsilon_q, x))
             if sol is None:
                 raise InvariantViolation("cobracket does not restrict to a homogeneous image")
             cob_cols.append(sol)
-        cob = Matrix(f, k * k, k, tuple(tuple(cob_cols[j][r] for j in range(k)) for r in range(k * k)))
+        cob = sparse.matrix(f, k * k, cob_cols)
         lc = LieCoalgebraSC(field=f, dim=k, cobracket=cob)
         rep = check_lie_coalgebra(lc)
         if not rep.ok:
@@ -809,15 +806,8 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
         qg = gind.per_g[g]
         k = qg.dim
         pi_g_cols = [gind.Q.pi.col(off[g] + a) for a in range(dims[g])]
-        pi_hat = Matrix(
-            f,
-            k,
-            dims[g],
-            tuple(
-                tuple(qg.coordinates_of(col)[i] for col in pi_g_cols) for i in range(k)
-            ),
-        )
-        alpha = pi_hat.transpose()  # dims[g] x k
+        alpha = Matrix(f, dims[g], k, tuple(qg.coordinates_of(col) for col in pi_g_cols))
+        pi_hat = alpha.transpose()
         image_ok, injective, dims_equal, lie_ok, coord_mat, failures = alpha_clauses(
             alpha, pg.space, pg.lie, gind.per_g_lie_co[g],
             f"alpha column {{t}} not a degree-{g} primitive functional",

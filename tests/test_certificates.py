@@ -4,7 +4,8 @@ with the independent oracle on every object of the classical benchmark.
 The pinned digests are SHA-256 of the canonical JSON (sorted keys, no
 whitespace) of ``hopflab michaelis --json`` and ``hopflab group-michaelis
 --json``; they were recorded before the invariants moved onto the sparse
-kernel, so any change to a certificate's bytes fails here.
+kernel (the three over Q, where elimination does real work, before it moved
+onto ``linalg.Echelon``), so any change to a certificate's bytes fails here.
 """
 
 import hashlib
@@ -47,6 +48,12 @@ PINNED = {
                    "127168278dcb2618e93d8b8484383be988b68422ee6951e80487ad460c416ffc"),
     "truncated_poly(3) over Z3": ("group-michaelis", truncated_family,
                                   "25e5f4eb0f628b80d1f3093dd14379ef4bfc00d38f98fb2dfd6052c435675d2b"),
+    "kS4/Q": ("michaelis", lambda: group_algebra(symmetric_group(4), Q),
+              "0c44a3e8ff4a752dc53524cff59c10d9434cb66af93fff69eeb47ab8beec2066"),
+    "kZ30/Q": ("michaelis", lambda: group_algebra(cyclic_group(30), Q),
+               "a0a79b7f8e278728b8e70de2d2181c52990996df3641848103bb25fd8f3d0551"),
+    "diag Z12/Q": ("group-michaelis", lambda: diagonal_group_algebra(cyclic_group(12), Q),
+                   "b5f555aef3869706746ee84b4c545cd3e1eb7ef2e503292eb3fba8b7940cff3c"),
 }
 
 # The Hopf objects of the benchmark's `classical` workload.

@@ -12,7 +12,7 @@ from hopflab import cli
 from hopflab.cli import main
 from hopflab.errors import InvariantViolation
 from hopflab.fields import FieldSpec
-from hopflab.serialize import dumps, load
+from hopflab.serialize import MAX_MAP_ENTRIES, dumps, load
 from hopflab.turaev import cyclic_group, dagger
 from hopflab.lie import commutator_lie
 from hopflab.zoo import (
@@ -195,6 +195,30 @@ class TestMalformedValues:
         data["mult"][0][3] = True
         assert "coefficient" in self._rejected(tmp_path, capsys, data)
 
+
+    # A (co)multiplication's dense grid is sized by the declared dimensions
+    # before any triple is read, so a grid over ``MAX_MAP_ENTRIES`` is bad
+    # input, named in the message, rather than a ``MemoryError``.
+
+    def test_huge_dim(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["dim"] = 10 ** 6
+        assert "mult" in self._rejected(tmp_path, capsys, data)
+        del data["basis_names"]
+        assert "mult" in self._rejected(tmp_path, capsys, data, "michaelis")
+
+    def test_huge_graded_component_dim(self, tmp_path, capsys):
+        data = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        data["components"][1]["dim"] = 10 ** 6
+        assert "comult" in self._rejected(tmp_path, capsys, data)
+        assert "comult" in self._rejected(tmp_path, capsys, data, "group-michaelis")
+
+    def test_map_entry_bound(self, tmp_path, capsys):
+        # exterior_super(8) has 2**8 basis vectors: its maps just fit.
+        assert (2 ** 8) ** 3 <= MAX_MAP_ENTRIES < (2 ** 8 + 1) ** 3
+        data = json.loads(dumps(commutator_lie(matrix_algebra(2, Q))))
+        data["dim"] = 2 ** 8 + 1
+        assert "bracket" in self._rejected(tmp_path, capsys, data)
 
     # Names are lists of strings: a basis name that is not a string used to
     # pass ``check`` and crash whatever renamed or labelled the basis.
@@ -389,8 +413,7 @@ class TestInternalError:
 # -- the exit-code contract under fuzzing --------------------------------------
 #
 # One value of a canonical file of each schema is replaced or deleted; every
-# command must still exit 0, 1 or 2 without a traceback.  Huge dimensions are
-# left out: they exhaust memory instead of failing to load.
+# command must still exit 0, 1 or 2 without a traceback.
 
 _DIAG = diagonal_group_algebra(cyclic_group(3), F3)
 FUZZ_DOCUMENTS = [
@@ -398,7 +421,7 @@ FUZZ_DOCUMENTS = [
     for obj in (sweedler4(Q), commutator_lie(matrix_algebra(2, F3)), cyclic_group(3),
                 _DIAG, dagger(_DIAG))
 ]
-FUZZ_VALUES = [None, True, 0, -1, 1.5, "0", "x", "1/0", [], {}]
+FUZZ_VALUES = [None, True, 0, -1, 10 ** 12, 1.5, "0", "x", "1/0", [], {}]
 FUZZ_COMMANDS = [["check"], ["dual"], ["michaelis"], ["dagger"], ["gprimitives", "--g", "g"]]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hopflab.errors import FieldMismatchError, ShapeError
 from hopflab.fields import FieldSpec
 from hopflab.linalg import (
+    Echelon,
     Matrix,
     Subspace,
     nullspace,
@@ -17,6 +18,8 @@ from hopflab.linalg import (
     swap_map,
     tensor,
 )
+
+from oracle import basis_rows, gauss_rref, null_basis
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -234,3 +237,104 @@ class TestSolve:
     def test_inconsistent(self):
         a = M(Q, [[1, 0], [1, 0]])
         assert solve_particular(a, [1, 2]) is None
+
+
+# -- the elimination against the independent oracle -------------------------
+
+
+@st.composite
+def oracle_matrix(draw, field=None, cols=None):
+    """A field and a matrix of up to 6 x 8 over it, as plain rows: entries
+    are often zero, rationals are often not integers, and zero and repeated
+    rows are common.  Zero rows or zero columns are allowed."""
+    if field is None:
+        field = draw(st.sampled_from([Q, F2, F5]))
+    if cols is None:
+        cols = draw(st.integers(0, 8))
+    if field.is_rational:
+        nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        nonzero = st.integers(1, field.characteristic - 1)
+    entry = st.one_of(st.just(0), nonzero).map(field.coerce)
+    row = st.lists(entry, min_size=cols, max_size=cols)
+    rows = draw(st.lists(st.one_of(row, st.just([field.zero] * cols)), max_size=6))
+    if rows and len(rows) < 6 and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    return field, cols, rows
+
+
+def _matrix(field, cols, rows):
+    return Matrix(field, len(rows), cols, tuple(map(tuple, rows)))
+
+
+class TestAgainstOracle:
+    @given(oracle_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_rref(self, case):
+        field, cols, rows = case
+        red, pivots = rref(_matrix(field, cols, rows))
+        want, want_pivots = gauss_rref(rows, field.characteristic)
+        assert red.rows_list() == want
+        assert list(pivots) == want_pivots
+
+    @given(oracle_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_nullspace(self, case):
+        field, cols, rows = case
+        got = nullspace(_matrix(field, cols, rows)).basis.rows_list()
+        assert got == null_basis(rows, cols, field.characteristic)
+
+    @given(oracle_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_from_vectors(self, case):
+        field, cols, rows = case
+        got = Subspace.from_vectors(field, cols, rows).basis.rows_list()
+        assert got == basis_rows(rows, field.characteristic)
+
+    @given(oracle_matrix(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_particular(self, case, data):
+        field, cols, rows = case
+        rhs = data.draw(st.lists(st.integers(-2, 2).map(field.coerce),
+                                 min_size=len(rows), max_size=len(rows)))
+        got = solve_particular(_matrix(field, cols, rows), rhs)
+        red, pivots = gauss_rref([r + [b] for r, b in zip(rows, rhs)], field.characteristic)
+        if cols in pivots:
+            assert got is None
+        else:
+            want = [field.zero] * cols
+            for r, pc in enumerate(pivots):
+                want[pc] = red[r][cols]
+            assert list(got) == want
+
+    @given(oracle_matrix(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_intersect(self, case, data):
+        field, cols, rows = case
+        other = data.draw(oracle_matrix(field, cols))[2]
+        got = Subspace.from_vectors(field, cols, rows).intersect(
+            Subspace.from_vectors(field, cols, other))
+        # x = sum a_i A_i = sum b_j B_j: solve for (a, b), one equation per coordinate.
+        p = field.characteristic
+        a, b = basis_rows(rows, p), basis_rows(other, p)
+        equations = [[r[j] for r in a] + [-r[j] for r in b] for j in range(cols)]
+        coeffs = null_basis(equations, len(a) + len(b), p) if a and b else []
+        meets = [[sum(c[i] * a[i][j] for i in range(len(a))) for j in range(cols)] for c in coeffs]
+        assert got.basis.rows_list() == basis_rows(meets, p)
+
+
+class TestEchelon:
+    def test_insert_returns_the_remainder(self):
+        e = Echelon(F5, 3)
+        assert e.insert({0: 2, 1: 1}) == {0: 2, 1: 1}
+        assert e.insert({0: 4, 1: 2}) == {}
+        assert e.rows == {0: {0: 1, 1: 3}} and e.dim == 1
+
+    def test_canonical_back_substitutes(self):
+        e = Echelon(Q, 3, [{0: 1, 1: 1, 2: 1}, {1: 2, 2: Fraction(1, 2)}])
+        assert e.canonical() == [{0: 1, 2: Fraction(3, 4)}, {1: 1, 2: Fraction(1, 4)}]
+
+    def test_kernel_and_free_generators(self):
+        e = Echelon(Q, 3, [{0: 1, 1: 2}])
+        assert e.free_generators() == {1: {1: 1, 0: -2}, 2: {2: 1}}
+        assert e.kernel() == nullspace(M(Q, [[1, 2, 0]]))

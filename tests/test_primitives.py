@@ -182,3 +182,56 @@ class TestMichaelis:
         h = truncated_poly(3)
         cert = michaelis_verify(h)
         assert cert.alpha == cert.pi.transpose()
+
+
+# -- Q(kG) against the abelianization ------------------------------------------
+#
+# For a group algebra I/I^2 = G^ab (x) k, through g - 1 -> g[G,G], so dim Q(kG)
+# is the F_p-dimension of G^ab / p G^ab over F_p and 0 over Q.  The subgroup M
+# of G generated by the commutators and the p-th powers is the preimage of
+# p G^ab, so |G| / |M| = p^(dim Q): read off the group table, no elimination.
+
+
+def _generated(grp, gens):
+    members, frontier = {grp.identity}, [grp.identity]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = grp.mul(a, g)
+            if b not in members:
+                members.add(b)
+                frontier.append(b)
+    return members
+
+
+def abelianization_mod_p_dim(grp, p):
+    els = grp.elements()
+    commutators = {grp.mul(grp.mul(a, b), grp.mul(grp.inv(a), grp.inv(b))) for a in els for b in els}
+    powers = set()
+    for a in els:
+        x = grp.identity
+        for _ in range(p):
+            x = grp.mul(x, a)
+        powers.add(x)
+    index, dim = grp.order // len(_generated(grp, commutators | powers)), 0
+    while index > 1:
+        assert index % p == 0
+        index, dim = index // p, dim + 1
+    return dim
+
+
+@pytest.mark.parametrize(
+    "name, p, expected",
+    # Every S_n, n >= 2, has abelianization Z2; Z_n is its own.
+    [(f"S{n}", p, int(p == 2)) for n in (3, 4, 5) for p in (2, 3)]
+    + [(f"Z{n}", p, int(n % p == 0)) for n, p in ((6, 2), (6, 3), (6, 5), (9, 3), (8, 2), (5, 2))],
+)
+def test_indecomposables_of_a_group_algebra_follow_its_abelianization(name, p, expected):
+    grp = (symmetric_group if name[0] == "S" else cyclic_group)(int(name[1:]))
+    assert abelianization_mod_p_dim(grp, p) == expected
+    q = indecomposables(group_algebra(grp, FieldSpec.prime(p)), validate=False)
+    assert q.quotient.dim == expected
+
+
+def test_indecomposables_of_a_group_algebra_vanish_over_q():
+    assert indecomposables(group_algebra(symmetric_group(4), Q), validate=False).quotient.dim == 0
