@@ -14,6 +14,7 @@ on those names (the benchmark's spans) sees every call.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -278,7 +279,10 @@ def _zoo(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and then reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hopflab",
         description="exact verification and duality computations for Hopf-type structures",

@@ -2,9 +2,11 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 (always stored reduced with positive denominator) and canonical residues in
-``range(p)`` over a prime field.  A :class:`FieldSpec` carries the arithmetic
-so that all linear algebra is written once and dispatches through it.  There
-is no floating point anywhere; every comparison is exact.
+``range(p)`` over a prime field.  A :class:`FieldSpec` names the field, reads
+and writes its scalars and carries their arithmetic; the linear algebra of
+:mod:`hopflab.linalg` computes on plain numbers and reduces each result into
+the field by its characteristic.  There is no floating point anywhere; every
+comparison is exact.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Algebras, coalgebras, bialgebras and Hopf algebras by structure constants.
 
-A structure is a handful of dense matrices over an exact field:
+A structure is a handful of matrices over an exact field, each stored as its
+nonzero entries (:class:`~hopflab.linalg.Matrix`):
 
 * multiplication  m : H (x) H -> H   as a (dim x dim^2) matrix,
 * unit            u : k -> H         as a column vector,
@@ -8,10 +9,10 @@ A structure is a handful of dense matrices over an exact field:
 * counit          e : H -> k         as a row vector,
 * antipode        S : H -> H         as a square matrix.
 
-Storing full matrices (rather than rank-3 coefficient tables) makes every
-axiom a matrix identity, verified exactly by ``check_*`` with per-axiom
-witnesses; the checks evaluate those identities on basis tuples over the
-nonzero constants (:mod:`hopflab.sparse`), never forming the matrices.  An
+Holding matrices (rather than rank-3 coefficient tables) makes every axiom a
+matrix identity, verified exactly by ``check_*`` with per-axiom witnesses;
+the checks evaluate those identities on basis tuples over the stored nonzero
+constants (:mod:`hopflab.sparse`), never forming the composite matrices.  An
 optional parity vector turns on the Koszul sign rule: the braiding used in
 the bialgebra compatibility axiom, commutators and opposites then picks up a
 -1 on odd (x) odd.
@@ -192,25 +193,25 @@ _COALGEBRA = ("coassociativity", "counit.left", "counit.right")
 
 def check_algebra(a: AlgebraSC) -> VerificationReport:
     rep = VerificationReport("algebra")
-    mult, unit = sparse.columns(a.mult), sparse.vector(a.unit.col(0))
+    mult, unit = a.mult.columns, a.unit.columns[0]
     _unital_associative(rep, _ALGEBRA, mult, unit, a, dual=False)
     return rep
 
 
 def check_coalgebra(c: CoalgebraSC) -> VerificationReport:
     rep = VerificationReport("coalgebra")
-    comult, counit = sparse.rows(c.comult), sparse.vector(c.counit.row(0))
+    comult, counit = c.comult.transpose().columns, c.counit.transpose().columns[0]
     _unital_associative(rep, _COALGEBRA, comult, counit, c, dual=True)
     return rep
 
 
 def read_sparse(b: BialgebraSC) -> tuple:
-    """The structure maps of ``b`` read once: the sparse columns of ``mult``
+    """The structure maps of ``b`` as sparse vectors: the columns of ``mult``
     and ``comult``, the unit and counit vectors and, for a Hopf algebra, the
     columns of the antipode (else None)."""
     s = getattr(b, "antipode", None)
-    return (sparse.columns(b.mult), sparse.columns(b.comult), sparse.vector(b.unit.col(0)),
-            sparse.vector(b.counit.row(0)), None if s is None else sparse.columns(s))
+    return (b.mult.columns, b.comult.columns, b.unit.columns[0],
+            b.counit.transpose().columns[0], None if s is None else s.columns)
 
 
 def check_bialgebra(b: BialgebraSC, maps: Optional[tuple] = None) -> VerificationReport:
@@ -219,7 +220,7 @@ def check_bialgebra(b: BialgebraSC, maps: Optional[tuple] = None) -> Verificatio
     rep = VerificationReport("bialgebra")
     mult, comult, unit, counit, _ = maps or read_sparse(b)
     _unital_associative(rep, _ALGEBRA, mult, unit, b, dual=False)
-    _unital_associative(rep, _COALGEBRA, sparse.transpose(comult, b.dim ** 2), counit, b, dual=True)
+    _unital_associative(rep, _COALGEBRA, b.comult.transpose().columns, counit, b, dual=True)
     k = sparse.Kernel(b.field, b.dim, b.parity)
     lab2 = tensor_label(b.basis_names, 2)
     matrix_axiom(rep, "compat.comult_mult", *k.comult_mult(mult, comult), lab2, lab2)
@@ -312,12 +313,12 @@ def left_integrals(h: HopfAlgebraSC, validate: bool = True) -> Subspace:
         require_valid(h, check_hopf, "left_integrals input")
     n = h.dim
     # Row (i, j): sum_l Delta[(i,l),j] t_l - unit_i t_j = 0.
-    rows: sparse.Columns = [{} for _ in range(n * n)]
-    for j, delta in enumerate(sparse.columns(h.comult)):
+    rows: list = [{} for _ in range(n * n)]
+    for j, delta in enumerate(h.comult.columns):
         for il, x in delta.items():
             i, l = divmod(il, n)
             rows[i * n + j][l] = x
-    for i, u in sparse.vector(h.unit.col(0)).items():
+    for i, u in h.unit.columns[0].items():
         for j in range(n):
             rows[i * n + j][j] = rows[i * n + j].get(j, 0) - u
     return Echelon(h.field, n, rows).kernel()
@@ -333,21 +334,21 @@ def solve_antipode(b: BialgebraSC) -> Optional[Matrix]:
     f, n = b.field, b.dim
     mult, comult, unit, counit, _ = read_sparse(b)
     k = sparse.Kernel(f, n)
-    # Column (r, c) of the system is m (E_rc (x) id) Delta, flattened row-major:
-    # its entry (l, j) is the sum over y of Delta(e_j)[c, y] m(e_r, e_y)[l].
-    system: sparse.Columns = [{} for _ in range(n * n)]
+    # Row (l, j) of the system is entry (l, j) of m (S (x) id) Delta, flattened
+    # row-major; its coefficient on S[r, c] is the sum over y of
+    # Delta(e_j)[c, y] m(e_r, e_y)[l].
+    system: list = [{} for _ in range(n * n)]
     for j in range(n):
         for cy, d in comult[j].items():
             c, y = divmod(cy, n)
             for r in range(n):
-                col = system[r * n + c]
                 for l, v in mult[r * n + y].items():
-                    col[l * n + j] = col.get(l * n + j, 0) + d * v
+                    row = system[l * n + j]
+                    row[r * n + c] = row.get(r * n + c, 0) + d * v
     target = {a * n + i: x for (a, i), x in k.unit_counit(unit, counit)().items()}  # u e, flattened
-    x = solve(f, n * n, sparse.transpose(system, n * n), target)
+    x = solve(f, n * n, system, target)
     if x is None:
         return None
-    flat = sparse.dense(f, n * n, x)
-    s = Matrix(f, n, n, tuple(flat[i * n : i * n + n] for i in range(n)))
-    right = k.antipode(mult, comult, sparse.columns(s), left=False)()
+    s = Matrix(f, n, n, [{r: x[r * n + c] for r in range(n) if r * n + c in x} for c in range(n)])
+    right = k.antipode(mult, comult, s.columns, left=False)()
     return s if right == k.unit_counit(unit, counit)() else None

@@ -85,13 +85,14 @@ def _lie_axioms(rep, names, bracket, l, dual) -> None:
 
 def check_lie(l: LieAlgebraSC) -> VerificationReport:
     rep = VerificationReport("lie-algebra")
-    _lie_axioms(rep, ("antisymmetry", "jacobi"), sparse.columns(l.bracket), l, dual=False)
+    _lie_axioms(rep, ("antisymmetry", "jacobi"), l.bracket.columns, l, dual=False)
     return rep
 
 
 def check_lie_coalgebra(c: LieCoalgebraSC) -> VerificationReport:
     rep = VerificationReport("lie-coalgebra")
-    _lie_axioms(rep, ("co-antisymmetry", "co-jacobi"), sparse.rows(c.cobracket), c, dual=True)
+    cobracket = c.cobracket.transpose().columns
+    _lie_axioms(rep, ("co-antisymmetry", "co-jacobi"), cobracket, c, dual=True)
     return rep
 
 
@@ -103,7 +104,7 @@ def commutator_lie(a: AlgebraSC, validate: bool = True) -> LieAlgebraSC:
     return LieAlgebraSC(
         field=a.field,
         dim=a.dim,
-        bracket=sparse.matrix(a.field, a.dim, k.braided(sparse.columns(a.mult), -1)),
+        bracket=Matrix(a.field, a.dim, a.dim ** 2, k.braided(a.mult.columns, -1)),
         parity=a.parity,
         basis_names=a.basis_names,
     )
@@ -117,7 +118,8 @@ def cocommutator_lie_coalgebra(c: CoalgebraSC, validate: bool = True) -> LieCoal
     return LieCoalgebraSC(
         field=c.field,
         dim=c.dim,
-        cobracket=sparse.matrix(c.field, c.dim, k.braided(sparse.rows(c.comult), -1)).transpose(),
+        cobracket=Matrix(c.field, c.dim, c.dim ** 2,
+                         k.braided(c.comult.transpose().columns, -1)).transpose(),
         parity=c.parity,
         basis_names=c.basis_names,
     )

@@ -1,9 +1,12 @@
 """Exact linear algebra: matrices, the elimination, subspaces, quotients,
 tensor products.
 
-Matrices are immutable and dense with entries in an exact field (see
-:mod:`hopflab.fields`); equality is entrywise and exact.  Every elimination
-of the package (``rref``, ``rank``, ``nullspace``, solving, the
+Matrices are immutable, with entries in an exact field (see
+:mod:`hopflab.fields`), and store only their nonzero entries, one sparse
+vector ``{row: entry}`` per column; equality is entrywise and exact.
+Arithmetic runs on plain Python numbers and reduces each finished entry once
+(:func:`finish`), with no per-entry call into :class:`FieldSpec`.  Every
+elimination of the package (``rref``, ``rank``, ``nullspace``, solving, the
 :class:`Subspace` operations and ``quotient``) runs in one place,
 :class:`Echelon`, on sparse rows ``{index: coefficient}``.  Its results come
 back through the canonical reduced row-echelon form, which depends only on
@@ -48,45 +51,54 @@ def all_even(dim: int) -> Parity:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Dense matrix over an exact field, stored as a tuple of row tuples."""
+    """Matrix over an exact field, stored as its nonzero entries:
+    ``columns[j]`` is the sparse vector ``{row: entry}`` of column j, in the
+    plain scalars of :class:`Echelon`.  The stored vectors are never mutated,
+    so matrices may share them; ``data``, ``col`` and ``flat`` are dense
+    views."""
 
     field: FieldSpec
     rows: int
     cols: int
-    data: Tuple[Tuple[Scalar, ...], ...]
+    columns: Tuple[Vector, ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative matrix dimensions")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if type(self.columns) is not tuple:
+            object.__setattr__(self, "columns", tuple(self.columns))
+        if len(self.columns) != self.cols:
             raise ShapeError(
-                f"entry grid does not match declared shape {self.rows}x{self.cols}"
-            )
+                f"{len(self.columns)} columns for declared shape {self.rows}x{self.cols}")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rows(field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        data = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        return Matrix(field, nrows, ncols, data)
+        """The matrix with the given dense rows, each entry read by ``field.coerce``."""
+        rows = [[field.coerce(x) for x in row] for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ShapeError(f"rows of unequal length for {len(rows)}x{ncols}")
+        return Matrix.of_rows(field, ncols, [vector(r) for r in rows])
+
+    @staticmethod
+    def of_rows(field: FieldSpec, width: int, rows: Sequence[Vector]) -> "Matrix":
+        """The matrix whose rows are the sparse vectors ``rows`` of length ``width``."""
+        return Matrix(field, width, len(rows), tuple(rows)).transpose()
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return Matrix(field, rows, cols, tuple({} for _ in range(cols)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(
-            field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        )
+        return Matrix(field, n, n, tuple({j: 1} for j in range(n)))
 
     @staticmethod
     def column(field: FieldSpec, vec: Iterable) -> "Matrix":
-        return Matrix.row_vector(field, vec).transpose()  # 0x1 for an empty vec
+        vec = [field.coerce(x) for x in vec]
+        return Matrix(field, len(vec), 1, (vector(vec),))  # 0x1 for an empty vec
 
     @staticmethod
     def row_vector(field: FieldSpec, vec: Iterable) -> "Matrix":
@@ -98,91 +110,77 @@ class Matrix:
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> Tuple[Scalar, ...]:
-        return self.data[i]
+    @property
+    def data(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The dense rows."""
+        return tuple(map(tuple, self.rows_list()))
 
     def col(self, j: int) -> Tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.data)
+        return dense(self.rows, self.columns[j])
 
     def rows_list(self) -> list:
         """Entries as plain nested lists (for serialization and oracles)."""
-        return [list(r) for r in self.data]
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, x in col.items():
+                grid[r][c] = x
+        return grid
 
     def flat(self) -> Tuple[Scalar, ...]:
-        return tuple(x for r in self.data for x in r)
+        return tuple(x for r in self.rows_list() for x in r)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.columns)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, sign: int, other: "Matrix") -> "Matrix":
+        """``self + sign * other``."""
         f = same_field(self.field, other.field)
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        add = f.add
-        return Matrix(
-            f,
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.data, other.data)
-            ),
-        )
+        p = f.characteristic
+        return Matrix(f, self.rows, self.cols, tuple(
+            combine(p, ((1, a), (sign, b))) for a, b in zip(self.columns, other.columns)))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(1, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._plus(-1, other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(
-            self.field, self.rows, self.cols, tuple(tuple(neg(x) for x in r) for r in self.data)
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         f = self.field
-        c = f.coerce(c)
-        return Matrix(
-            f, self.rows, self.cols, tuple(tuple(f.mul(c, x) for x in r) for r in self.data)
-        )
+        c = plain(f.coerce(c))
+        return Matrix(f, self.rows, self.cols,
+                      tuple(combine(f.characteristic, ((c, col),)) for col in self.columns))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         f = same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeError(f"cannot compose {self.shape} with {other.shape}")
-        add, mul, zero = f.add, f.mul, f.zero
-        bdata = other.data
-        out = []
-        for arow in self.data:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = bdata[k]
-                acc = [add(s, mul(a, b)) for s, b in zip(acc, brow)]
-            out.append(tuple(acc))
-        return Matrix(f, self.rows, other.cols, tuple(out))
+        return Matrix(f, self.rows, other.cols, tuple(map(self.image, other.columns)))
+
+    def image(self, v: Vector) -> Vector:
+        """The matrix times the sparse column vector ``v``."""
+        cols = self.columns
+        return combine(self.field.characteristic, ((x, cols[k]) for k, x in v.items()))
 
     def apply(self, vec: Sequence) -> Tuple[Scalar, ...]:
         """Matrix times column vector, returned as a tuple."""
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        if len(v) != self.cols:
-            raise ShapeError(f"vector length {len(v)} vs {self.cols} columns")
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for r in self.data:
-            s = zero
-            for a, x in zip(r, v):
-                if a != 0 and x != 0:
-                    s = add(s, mul(a, x))
-            out.append(s)
-        return tuple(out)
+        if len(vec) != self.cols:
+            raise ShapeError(f"vector length {len(vec)} vs {self.cols} columns")
+        return dense(self.rows, self.image(vector([self.field.coerce(x) for x in vec])))
 
     def transpose(self) -> "Matrix":
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return Matrix(self.field, self.cols, self.rows, data)
+        out: List[Vector] = [{} for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, x in col.items():
+                out[r][c] = x
+        return Matrix(self.field, self.cols, self.rows, tuple(out))
 
     def __str__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -192,22 +190,10 @@ class Matrix:
 def tensor(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with flat index (i, j) -> i * dim_b + j."""
     f = same_field(a.field, b.field)
-    mul = f.mul
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = []
-    for ia in range(a.rows):
-        arow = a.data[ia]
-        for ib in range(b.rows):
-            brow = b.data[ib]
-            row = []
-            for x in arow:
-                if x == 0:
-                    row.extend([f.zero] * b.cols)
-                else:
-                    row.extend(mul(x, y) for y in brow)
-            out.append(tuple(row))
-    return Matrix(f, rows, cols, tuple(out))
+    p, h = f.characteristic, b.rows
+    cols = (finish(p, {i * h + j: x * y for i, x in u.items() for j, y in v.items()})
+            for u in a.columns for v in b.columns)
+    return Matrix(f, a.rows * h, a.cols * b.cols, tuple(cols))
 
 
 def apply_middle_swap(
@@ -224,15 +210,15 @@ def apply_middle_swap(
     if m.rows != dim_x * dim_a * dim_b * dim_y:
         raise ShapeError("row count does not factor as X*A*B*Y")
     pa, pb = parity_a or all_even(dim_a), parity_b or all_even(dim_b)
-    out: list = [None] * m.rows
+    moved = []  # row -> (its new index, the sign it picks up)
     for src in range(m.rows):
         xab, y = divmod(src, dim_y)
         xa, b = divmod(xab, dim_b)
         x, a = divmod(xa, dim_a)
-        row = m.data[src]
-        flipped = tuple(map(m.field.neg, row)) if pa[a] and pb[b] else row
-        out[((x * dim_b + b) * dim_a + a) * dim_y + y] = flipped
-    return Matrix(m.field, m.rows, m.cols, tuple(out))
+        moved.append((((x * dim_b + b) * dim_a + a) * dim_y + y, -1 if pa[a] and pb[b] else 1))
+    p = m.field.characteristic
+    return Matrix(m.field, m.rows, m.cols, tuple(
+        finish(p, {moved[r][0]: moved[r][1] * x for r, x in col.items()}) for col in m.columns))
 
 
 def swap_map(
@@ -254,16 +240,10 @@ def swap_map(
         raise ShapeError("parity_b length does not match dim_b")
     pa = parity_a if parity_a is not None else all_even(dim_a)
     pb = parity_b if parity_b is not None else all_even(dim_b)
-    one, zero = field.one, field.zero
-    minus_one = field.neg(one)
-    n = dim_a * dim_b
-    grid = [[zero] * n for _ in range(n)]
-    for i in range(dim_a):
-        for j in range(dim_b):
-            src = i * dim_b + j
-            dst = j * dim_a + i
-            grid[dst][src] = minus_one if (pa[i] and pb[j]) else one
-    return Matrix(field, n, n, tuple(tuple(r) for r in grid))
+    p, n = field.characteristic, dim_a * dim_b
+    cols = (finish(p, {j * dim_a + i: -1 if pa[i] and pb[j] else 1})
+            for i in range(dim_a) for j in range(dim_b))
+    return Matrix(field, n, n, tuple(cols))
 
 
 # -- the elimination -----------------------------------------------------------
@@ -285,14 +265,24 @@ def finish(p: int, acc: dict) -> dict:
     with the zeros dropped."""
     if p:
         return {k: r for k, x in acc.items() if (r := x % p)}
-    return {k: x for k, x in acc.items() if x != 0}
+    return {k: plain(x) for k, x in acc.items() if x != 0}
 
 
-def dense(field: FieldSpec, n: int, v: Vector) -> Tuple[Scalar, ...]:
-    """``v`` as a length-``n`` tuple of canonical scalars."""
-    out = [field.zero] * n
+def combine(p: int, terms: Iterable[Tuple[Scalar, Vector]]) -> Vector:
+    """The linear combination of the vectors v with the coefficients c, over
+    the pairs (c, v) of ``terms``, in the field of characteristic ``p``."""
+    acc: Vector = {}
+    for c, v in terms:
+        for k, x in v.items():
+            acc[k] = acc.get(k, 0) + c * x
+    return finish(p, acc)
+
+
+def dense(n: int, v: Vector) -> Tuple[Scalar, ...]:
+    """``v`` as a length-``n`` tuple."""
+    out = [0] * n
     for i, x in v.items():
-        out[i] = field.coerce(x)
+        out[i] = x
     return tuple(out)
 
 
@@ -372,13 +362,11 @@ class Echelon:
             for k, x in row.items():
                 if k != pivot:
                     gens[k][pivot] = -x
-        return gens
+        return {c: finish(self.p, g) for c, g in gens.items()}
 
     def subspace(self) -> "Subspace":
         """The span, in canonical form."""
-        f, n = self.field, self.width
-        rows = self.canonical()
-        return Subspace(n, Matrix(f, len(rows), n, tuple(dense(f, n, r) for r in rows)))
+        return Subspace(self.width, Matrix.of_rows(self.field, self.width, self.canonical()))
 
     def kernel(self) -> "Subspace":
         """The solution space {x : r . x = 0 for every row r}, in canonical form."""
@@ -398,11 +386,9 @@ def solve(field: FieldSpec, width: int, rows: Sequence[Vector], rhs: Vector) -> 
 
 def rref(m: Matrix) -> Tuple[Matrix, Tuple[int, ...]]:
     """Reduced row-echelon form and its pivot columns, exactly."""
-    f = m.field
-    e = Echelon(f, m.cols, map(vector, m.data))
-    rows = tuple(dense(f, m.cols, r) for r in e.canonical())
-    zero = (f.zero,) * m.cols
-    return Matrix(f, m.rows, m.cols, rows + (zero,) * (m.rows - e.dim)), tuple(e.pivots)
+    e = Echelon(m.field, m.cols, m.transpose().columns)
+    rows = e.canonical() + [{}] * (m.rows - e.dim)
+    return Matrix.of_rows(m.field, m.cols, rows), tuple(e.pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -411,7 +397,7 @@ def rank(m: Matrix) -> int:
 
 def nullspace(m: Matrix) -> "Subspace":
     """The solution space {x : m x = 0} in canonical form."""
-    return Echelon(m.field, m.cols, map(vector, m.data)).kernel()
+    return Echelon(m.field, m.cols, m.transpose().columns).kernel()
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
@@ -419,8 +405,8 @@ def solve_particular(a: Matrix, b: Sequence) -> Optional[Tuple[Scalar, ...]]:
     :func:`solve`."""
     if len(b) != a.rows:
         raise ShapeError("right-hand side length mismatch")
-    x = solve(a.field, a.cols, [vector(r) for r in a.data], vector(b))
-    return None if x is None else dense(a.field, a.cols, x)
+    x = solve(a.field, a.cols, a.transpose().columns, vector(b))
+    return None if x is None else dense(a.cols, x)
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -470,11 +456,21 @@ class Subspace:
     def echelon(self) -> Echelon:
         """The basis as an :class:`Echelon`, built once per subspace; read it,
         do not add to it."""
-        return Echelon(self.field, self.ambient_dim, map(vector, self.basis.data))
+        return Echelon(self.field, self.ambient_dim, self.basis.transpose().columns)
+
+    @property
+    def vectors(self) -> List[Vector]:
+        """The basis rows as sparse vectors (the rows of :attr:`echelon`, which
+        are already canonical); read them, do not change them."""
+        return [self.echelon.rows[q] for q in self.echelon.pivots]
 
     @property
     def pivots(self) -> Tuple[int, ...]:
         return tuple(self.echelon.pivots)
+
+    def coordinates(self, v: Vector) -> Vector:
+        """The coordinates of the member ``v`` in the RREF basis: its entries at the pivots."""
+        return {i: v[q] for i, q in enumerate(self.echelon.pivots) if q in v}
 
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient_dim:
@@ -485,12 +481,11 @@ class Subspace:
         """Coefficients of ``vec`` in the RREF basis; raises if not a member."""
         if not self.contains(vec):
             raise ValueError("vector is not in the subspace")
-        coerce = self.field.coerce
-        return tuple(coerce(vec[p]) for p in self.echelon.pivots)
+        return dense(self.dim, self.coordinates(vector(vec)))
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim, self.basis.data + other.basis.data)
+        return Echelon(self.field, self.ambient_dim, self.vectors + other.vectors).subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: in an echelon of the rows (a | a), a in self, and (b | 0),
@@ -499,16 +494,16 @@ class Subspace:
         self._check_compatible(other)
         n = self.ambient_dim
         stacked = Echelon(self.field, 2 * n)
-        for a in map(vector, self.basis.data):
+        for a in self.vectors:
             stacked.insert({**a, **{n + k: x for k, x in a.items()}})
-        for b in map(vector, other.basis.data):
+        for b in other.vectors:
             stacked.insert(b)
         right = ({k - n: x for k, x in row.items()} for q, row in stacked.rows.items() if q >= n)
         return Echelon(self.field, n, right).subspace()
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(other.contains(row) for row in self.basis.data)
+        return not any(other.echelon.reduce(v) for v in self.vectors)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -546,19 +541,16 @@ def quotient(ambient_dim: int, s: Subspace) -> QuotientSpace:
         raise ShapeError("subspace ambient dimension mismatch")
     f, n = s.field, ambient_dim
     gens = s.echelon.free_generators()
-    slot = {c: t for t, c in enumerate(gens)}
-    q = len(slot)
-    sect = tuple(dense(f, q, {slot[c]: 1} if c in slot else {}) for c in range(n))
-    proj = tuple(dense(f, n, g) for g in gens.values())
-    return QuotientSpace(n, s, Matrix(f, n, q, sect), Matrix(f, q, n, proj))
+    section = Matrix(f, n, len(gens), tuple({c: 1} for c in gens))
+    return QuotientSpace(n, s, section, Matrix.of_rows(f, n, list(gens.values())))
 
 
 # -- parity helpers ----------------------------------------------------------
 
 
-def homogeneous_parity(vec: Sequence, ambient_parity: Parity) -> int:
-    """Parity of a homogeneous vector; raises on mixed-parity support."""
-    seen = {ambient_parity[i] for i, x in enumerate(vec) if x != 0}
+def homogeneous_parity(v: Vector, ambient_parity: Parity) -> int:
+    """Parity of a homogeneous sparse vector; raises on mixed-parity support."""
+    seen = {ambient_parity[i] for i in v}
     if len(seen) > 1:
         raise ValueError("vector mixes even and odd basis directions")
     return seen.pop() if seen else EVEN
@@ -568,4 +560,4 @@ def subspace_parities(space: Subspace, ambient_parity: Optional[Parity]) -> Opti
     """Induced parities of an RREF basis, or None when the ambient has none."""
     if ambient_parity is None:
         return None
-    return tuple(homogeneous_parity(row, ambient_parity) for row in space.basis.data)
+    return tuple(homogeneous_parity(v, ambient_parity) for v in space.vectors)

@@ -78,10 +78,10 @@ def restricted_bracket(h: AlgebraSC, space: Subspace, where: str) -> LieAlgebraS
     closure and the Lie axioms certified; ``where`` prefixes the error."""
     f, n = h.field, h.dim
     k = sparse.Kernel(f, n, h.parity)
-    bracket_h = k.braided(sparse.columns(h.mult), -1)
-    basis = [sparse.vector(v) for v in space.basis.data]
+    bracket_h = k.braided(h.mult.columns, -1)
+    basis = space.vectors
     p = len(basis)
-    cols = []  # a member's coordinates in the RREF basis are its entries at the pivots
+    cols = []
     for a in range(p):
         for b in range(p):
             w = k.product(bracket_h, basis[a], basis[b])
@@ -89,11 +89,11 @@ def restricted_bracket(h: AlgebraSC, space: Subspace, where: str) -> LieAlgebraS
                 raise InvariantViolation(
                     f"{where}: bracket of basis vectors {a},{b} leaves the subspace"
                 )
-            cols.append({i: w[q] for i, q in enumerate(space.pivots) if q in w})
+            cols.append(space.coordinates(w))
     lie = LieAlgebraSC(
         field=f,
         dim=p,
-        bracket=sparse.matrix(f, p, cols),
+        bracket=Matrix(f, p, p * p, cols),
         parity=subspace_parities(space, h.parity),
     )
     rep = check_lie(lie)
@@ -107,9 +107,9 @@ def primitives(h: HopfAlgebraSC, validate: bool = True) -> PrimitiveSpace:
     if validate:
         require_valid(h, check_hopf, "primitives input")
     f, n = h.field, h.dim
-    # Row (a, b) of Delta - 1 (x) id - id (x) 1, from the rows of Delta.
-    system = sparse.rows(h.comult)
-    for a, u in sparse.vector(h.unit.col(0)).items():
+    # Row (a, b) of Delta - 1 (x) id - id (x) 1, from copies of the rows of Delta.
+    system = [dict(row) for row in h.comult.transpose().columns]
+    for a, u in h.unit.columns[0].items():
         for j in range(n):
             for row in (system[a * n + j], system[j * n + a]):
                 row[j] = row.get(j, 0) - u
@@ -124,16 +124,16 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
         require_valid(h, check_hopf, "indecomposables input")
     f, n = h.field, h.dim
     k = sparse.Kernel(f, n, h.parity)
-    mult = sparse.columns(h.mult)
+    mult = h.mult.columns
     ker_eps = nullspace(h.counit)
-    kv = [sparse.vector(v) for v in ker_eps.basis.data]
+    kv = ker_eps.vectors
     # The products of basis pairs span (ker e)^2.
     ker_eps_sq = Echelon(f, n, (k.product(mult, a, b) for a in kv for b in kv)).subspace()
     if not ker_eps_sq.is_subspace_of(ker_eps):
         raise InvariantViolation("(ker e)^2 not contained in ker e")
     # pi(x) = [x - e(x) 1] factors through H / ((ker e)^2 + k.1); adding the
     # line k.1 to the kernel absorbs the normalization x -> x - e(x) 1.
-    kernel = ker_eps_sq.sum_with(Subspace.from_vectors(f, n, [h.unit.col(0)]))
+    kernel = Echelon(f, n, [*ker_eps_sq.vectors, h.unit.columns[0]]).subspace()
     quot = quotient(n, kernel)
     pi = quot.projection
     normalize = Matrix.identity(f, n) - h.unit @ h.counit
@@ -141,17 +141,17 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
         raise InvariantViolation("projection does not absorb the counit normalization")
     # upsilon_Q = (pi (x) pi) upsilon_H section, column by column on the
     # nonzeros of the cocommutator upsilon_H = Delta - c Delta.
-    q, pi_cols = quot.dim, sparse.columns(pi)
-    upsilon_h = sparse.transpose(k.braided(sparse.rows(h.comult), -1), n)
-    pushed = [k.apply_pair(pi_cols, y, q) for y in upsilon_h]  # (pi (x) pi) upsilon_H
-    upsilon_q = [k.apply(pushed, s) for s in sparse.columns(quot.section)]
+    q, pi_cols = quot.dim, pi.columns
+    # (pi (x) pi) upsilon_H
+    pushed = [k.apply_pair(pi_cols, y, q) for y in cocommutator_matrix(h).columns]
+    upsilon_q = [k.apply(pushed, s) for s in quot.section.columns]
     if any(k.apply(upsilon_q, x) != y for x, y in zip(pi_cols, pushed)):
         raise InvariantViolation("commutator cobracket does not factor through pi")
     q_parity = None
     if h.parity is not None:
         free = [c for c in range(n) if c not in kernel.echelon.rows]
         q_parity = tuple(h.parity[c] for c in free)
-    cobracket = sparse.matrix(f, q * q, upsilon_q)
+    cobracket = Matrix(f, q * q, q, upsilon_q)
     lie_co = LieCoalgebraSC(field=f, dim=q, cobracket=cobracket, parity=q_parity)
     rep = check_lie_coalgebra(lie_co)
     if not rep.ok:
@@ -181,8 +181,8 @@ def alpha_clauses(alpha: Matrix, p: Subspace, p_lie: LieAlgebraSC, q_lie_co: Lie
     q = alpha.cols
     failures: List[str] = []
     image_ok = True
-    for t in range(q):
-        if not p.contains(alpha.col(t)):
+    for t, col in enumerate(alpha.columns):
+        if p.echelon.reduce(col):
             image_ok = False
             failures.append(not_primitive.format(t=t))
     injective = rank(alpha) == q
@@ -193,8 +193,7 @@ def alpha_clauses(alpha: Matrix, p: Subspace, p_lie: LieAlgebraSC, q_lie_co: Lie
         failures.append(dims_differ.format(q=q, p=p.dim))
     lie_ok, coord_mat = False, None
     if image_ok and dims_equal:
-        coords = [p.coordinates_of(alpha.col(t)) for t in range(q)]
-        coord_mat = Matrix(alpha.field, p.dim, q, tuple(tuple(c[i] for c in coords) for i in range(p.dim)))
+        coord_mat = Matrix(alpha.field, p.dim, q, tuple(map(p.coordinates, alpha.columns)))
         lie_ok = lie_morphism_check(coord_mat, dual_lie(q_lie_co, validate=False), p_lie)
         if not lie_ok:
             failures.append("alpha does not intertwine the Lie brackets")

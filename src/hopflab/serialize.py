@@ -28,7 +28,7 @@ from typing import Optional
 from .fields import FieldSpec
 from .hopf import AlgebraSC, BialgebraSC, CoalgebraSC, HopfAlgebraSC
 from .lie import LieAlgebraSC, LieCoalgebraSC
-from .linalg import Matrix, parity_from_json, parity_to_json
+from .linalg import Matrix, finish, parity_from_json, parity_to_json, plain, vector
 from .turaev import FiniteGroup, HopfGroupAlgebra, HopfGroupCoalgebra
 
 KINDS = (
@@ -71,13 +71,18 @@ def matrix_to_json(m: Matrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [enc(x) for x in m.flat()]}
 
 
-def matrix_from_json(field: FieldSpec, data: dict) -> Matrix:
+def matrix_from_json(field: FieldSpec, data: dict, shape: tuple) -> Matrix:
+    """The inverse of ``matrix_to_json`` for a matrix that must have ``shape``.
+    The declared shape is checked first: the stored form holds one vector per
+    column, so a 0 x n matrix costs n even though it has no entries."""
     rows, cols = _read(data["rows"], "matrix rows"), _read(data["cols"], "matrix cols")
+    if (rows, cols) != shape:
+        raise ValueError(f"matrix shape {rows}x{cols}, expected {shape[0]}x{shape[1]}")
     entries = [_read(x, "matrix entry", field) for x in data["entries"]]
     if len(entries) != rows * cols:
         raise ValueError("entry count does not match matrix shape")
-    grid = tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
-    return Matrix(field, rows, cols, grid)
+    return Matrix.of_rows(field, cols, [vector(entries[i * cols : (i + 1) * cols])
+                                        for i in range(rows)])
 
 
 def _vector_to_json(field: FieldSpec, vec) -> list:
@@ -88,18 +93,11 @@ def _vector_to_json(field: FieldSpec, vec) -> list:
 
 
 def mult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
-    """Triples [i, j, k, coeff]: e_i e_j has coeff on e_k (column (i,j), row k)."""
+    """Triples [i, j, k, coeff]: e_i e_j has coeff on e_k (column (i,j), row k),
+    sorted."""
     enc = m.field.scalar_to_json
-    out = []
-    for i in range(dim_l):
-        for j in range(dim_r):
-            col = i * dim_r + j
-            for k in range(m.rows):
-                v = m.data[k][col]
-                if v != 0:
-                    out.append([i, j, k, enc(v)])
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
-    return out
+    return [[*divmod(ij, dim_r), k, enc(v)] for ij, col in enumerate(m.columns)
+            for k, v in sorted(col.items())]
 
 
 def _triple(field: FieldSpec, t, bounds) -> tuple:
@@ -110,7 +108,7 @@ def _triple(field: FieldSpec, t, bounds) -> tuple:
     i, j, k, c = t
     try:
         i, j, k = _read(i, "index"), _read(j, "index"), _read(k, "index")
-        c = _read(c, "coefficient", field)
+        c = plain(_read(c, "coefficient", field))
     except ValueError as exc:
         raise ValueError(f"triple {list(t)}: {exc}") from None
     for x, bound in zip((i, j, k), bounds):
@@ -120,33 +118,30 @@ def _triple(field: FieldSpec, t, bounds) -> tuple:
 
 
 def mult_from_triples(field: FieldSpec, rows: int, dim_l: int, dim_r: int, triples) -> Matrix:
-    grid = [[field.zero] * (dim_l * dim_r) for _ in range(rows)]
+    """The inverse of ``mult_to_triples``: a later triple for an entry replaces
+    an earlier one, and zero coefficients are dropped."""
+    cols: list = [{} for _ in range(dim_l * dim_r)]
     for t in triples:
         i, j, k, c = _triple(field, t, (dim_l, dim_r, rows))
-        grid[k][i * dim_r + j] = c
-    return Matrix(field, rows, dim_l * dim_r, tuple(tuple(r) for r in grid))
+        cols[i * dim_r + j][k] = c
+    return Matrix(field, rows, dim_l * dim_r, [finish(field.characteristic, c) for c in cols])
 
 
 def comult_to_triples(m: Matrix, dim_l: int, dim_r: int) -> list:
-    """Triples [i, j, k, coeff]: Delta(e_i) has coeff on e_j (x) e_k (row (j,k), column i)."""
+    """Triples [i, j, k, coeff]: Delta(e_i) has coeff on e_j (x) e_k (row (j,k),
+    column i), sorted."""
     enc = m.field.scalar_to_json
-    out = []
-    for i in range(m.cols):
-        for j in range(dim_l):
-            for k in range(dim_r):
-                v = m.data[j * dim_r + k][i]
-                if v != 0:
-                    out.append([i, j, k, enc(v)])
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
-    return out
+    return [[i, *divmod(jk, dim_r), enc(v)] for i, col in enumerate(m.columns)
+            for jk, v in sorted(col.items())]
 
 
 def comult_from_triples(field: FieldSpec, cols: int, dim_l: int, dim_r: int, triples) -> Matrix:
-    grid = [[field.zero] * cols for _ in range(dim_l * dim_r)]
+    """The inverse of ``comult_to_triples``, read as ``mult_from_triples`` is."""
+    out: list = [{} for _ in range(cols)]
     for t in triples:
         i, j, k, c = _triple(field, t, (cols, dim_l, dim_r))
-        grid[j * dim_r + k][i] = c
-    return Matrix(field, dim_l * dim_r, cols, tuple(tuple(r) for r in grid))
+        out[i][j * dim_r + k] = c
+    return Matrix(field, dim_l * dim_r, cols, [finish(field.characteristic, c) for c in out])
 
 
 # -- classical structures --------------------------------------------------------
@@ -184,9 +179,11 @@ _GRADED = {
     "turaev-coalg": (HopfGroupCoalgebra, AlgebraSC, ("mult", "unit")),
 }
 
-# The most entries a (co)multiplication or (co)bracket may have: its dense grid
-# is allocated from the declared dimensions before any triple is read.  The
-# largest zoo input, exterior_super(8) of dimension 2**8, has 2**24.
+# The most entries a (co)multiplication or (co)bracket may have.  Only the
+# nonzero entries are stored, but the map's list of columns is as long as its
+# declared dimensions make it (dim**2 for a multiplication), and the axiom
+# walks visit every column.  The largest zoo input, exterior_super(8) of
+# dimension 2**8, has 2**24.
 MAX_MAP_ENTRIES = 2 ** 24
 
 # The triple form of each (co)multiplication and (co)bracket, graded or not.
@@ -213,7 +210,7 @@ def _map_from_json(field: FieldSpec, name: str, data, *dims: int) -> Matrix:
                              f"more than the {MAX_MAP_ENTRIES} a structure map may have")
         return _TRIPLES[name][1](field, *dims, data)
     if name == "antipode":
-        return matrix_from_json(field, data)
+        return matrix_from_json(field, data, (dims[0], dims[0]))
     what = f"{name} entry"
     vec = [_read(x, what, field) for x in data]
     return Matrix.column(field, vec) if name == "unit" else Matrix.row_vector(field, vec)
@@ -332,7 +329,9 @@ def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
             for g in elements
         ),
         _map_from_json(field, point, data[point]),
-        tuple(matrix_from_json(field, data["antipodes"][str(g)]) for g in elements),
+        tuple(matrix_from_json(field, data["antipodes"][str(g)],
+                               (dims[g], dims[group.inv(g)])[::1 if cls._DUAL else -1])
+              for g in elements),
     )
 
 

@@ -1,14 +1,14 @@
 """Sparse evaluation of structure maps on basis tuples: the axioms and the
 invariants built from them.
 
-A structure map is read into its nonzero columns, each a sparse vector
-``{row: coefficient}``: column ``i * n + j`` of a multiplication or bracket
-holds ``e_i e_j``, column ``i`` of a comultiplication holds ``Delta(e_i)``
-with ``e_a (x) e_b`` at ``a * n + b``.  Each axiom method of :class:`Kernel`
-returns a side as a zero-argument callable, so that
-:func:`hopflab.report.matrix_axiom` times its evaluation.  A side yields the
-nonzero entries of the dense matrix the axiom equates, keyed by their
-``(row, col)`` position under the Kronecker index convention of
+A structure map is read as the columns its :class:`~hopflab.linalg.Matrix`
+stores, each a sparse vector ``{row: coefficient}``: column ``i * n + j`` of
+a multiplication or bracket holds ``e_i e_j``, column ``i`` of a
+comultiplication holds ``Delta(e_i)`` with ``e_a (x) e_b`` at ``a * n + b``.
+Each axiom method of :class:`Kernel` returns a side as a zero-argument
+callable, so that :func:`hopflab.report.matrix_axiom` times its evaluation.
+A side yields the nonzero entries of the matrix the axiom equates, keyed by
+their ``(row, col)`` position under the Kronecker index convention of
 :mod:`hopflab.linalg`.  Every entry comes from one basis tuple, so no
 Kronecker product or other dense intermediate is built and the cost follows
 the number of nonzero structure constants.  A side is the whole matrix, with
@@ -20,64 +20,29 @@ the entries where the sides of an axiom of the total Hopf algebra differ, as
 one block of them.
 
 Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
-by running the algebra axioms on :func:`rows` of its comultiplication (the
+by running the algebra axioms on the rows of its comultiplication (the
 columns of the transposed matrix), and ``matrix_axiom(..., transposed=True)``
 reports the witness on the coalgebra's matrices.  The braiding is a signed
 permutation of basis tuples (:meth:`Kernel.braided`), never a matrix.
 
-Scalars are plain Python numbers during evaluation: integral rationals are
-read as ``int`` (equal values, far cheaper arithmetic) and prime-field
-residues are reduced once per finished entry.  The vectors are those of
-:mod:`hopflab.linalg` (:func:`vector`, :func:`dense`), so they go straight
-into its :class:`~hopflab.linalg.Echelon`, which also holds the span of
-:meth:`Kernel.generators`; :func:`dense` and :func:`matrix` turn results
-back into canonical field scalars.
+Scalars are the plain Python numbers that a matrix stores: integral
+rationals are ``int`` (equal values, far cheaper arithmetic) and prime-field
+residues are reduced once per finished entry.  So results go straight into a
+:class:`~hopflab.linalg.Matrix` or an :class:`~hopflab.linalg.Echelon`,
+which also holds the span of :meth:`Kernel.generators`.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
-from .linalg import Echelon, Matrix, Parity, Vector, dense, finish, plain, vector
+from .linalg import Echelon, Parity, Vector, combine, finish
 
-Columns = List[Vector]  # one sparse vector per matrix column
+Columns = Sequence[Vector]  # one sparse vector per matrix column
 Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
 Side = Callable[[], Entries]
-
-
-def columns(m: Matrix) -> Columns:
-    """The nonzero entries of each column of ``m``."""
-    cols: Columns = [{} for _ in range(m.cols)]
-    for r, row in enumerate(m.data):
-        for c, x in enumerate(row):
-            if x != 0:
-                cols[c][r] = plain(x)
-    return cols
-
-
-def rows(m: Matrix) -> Columns:
-    """The nonzero entries of each row of ``m``: the columns of its transpose."""
-    return [vector(row) for row in m.data]
-
-
-def transpose(cols: Columns, height: int) -> Columns:
-    """The columns of the transpose of the ``height``-row matrix with columns ``cols``."""
-    out: Columns = [{} for _ in range(height)]
-    for c, col in enumerate(cols):
-        for r, x in col.items():
-            out[r][c] = x
-    return out
-
-
-def matrix(field: FieldSpec, height: int, cols: Columns) -> Matrix:
-    """The dense matrix with ``height`` rows and the sparse columns ``cols``."""
-    data = [[field.zero] * len(cols) for _ in range(height)]
-    for c, col in enumerate(cols):
-        for r, x in col.items():
-            data[r][c] = field.coerce(x)
-    return Matrix(field, height, len(cols), tuple(map(tuple, data)))
 
 
 def zero() -> Entries:
@@ -113,11 +78,7 @@ class Kernel:
 
     def apply(self, f: Columns, x: Vector) -> Vector:
         """The linear map with columns ``f`` applied to ``x``."""
-        acc: Vector = {}
-        for i, a in x.items():
-            for k, c in f[i].items():
-                acc[k] = acc.get(k, 0) + a * c
-        return self.finish(acc)
+        return combine(self.p, ((a, f[i]) for i, a in x.items()))
 
     def apply_pair(self, f: Columns, x: Vector, width: int) -> Vector:
         """``(f (x) f) x`` for ``x`` in H (x) H, where f has ``width`` rows."""

@@ -35,7 +35,9 @@ from .hopf import (
     require_valid,
 )
 from .lie import LieAlgebraSC, LieCoalgebraSC, check_lie_coalgebra
-from .linalg import Echelon, Matrix, Subspace, nullspace, solve, solve_particular
+from .linalg import (
+    Echelon, Matrix, Subspace, Vector, finish, nullspace, solve, solve_particular, vector,
+)
 from .primitives import (
     IndecomposableSpace,
     alpha_clauses,
@@ -386,6 +388,11 @@ def _offsets(dims: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _block(v: Vector, start: int, stop: int) -> Vector:
+    """The entries of ``v`` at indices in range(start, stop), re-indexed from 0."""
+    return {k - start: x for k, x in v.items() if start <= k < stop}
+
+
 def total_hopf(h: HopfGroupAlgebra, validate: bool = True) -> HopfAlgebraSC:
     """The direct sum of all components as one ordinary Hopf algebra.
 
@@ -399,31 +406,31 @@ def total_hopf(h: HopfGroupAlgebra, validate: bool = True) -> HopfAlgebraSC:
     grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
     n = off[-1]
-    mult: sparse.Columns = [{} for _ in range(n * n)]
-    comult: sparse.Columns = [{} for _ in range(n)]
-    antipode: sparse.Columns = [{} for _ in range(n)]
+    mult: list = [{} for _ in range(n * n)]
+    comult: list = [{} for _ in range(n)]
+    antipode: list = [{} for _ in range(n)]
     for g in grp.elements():
         d = dims[g]
         for k in grp.elements():
             gk = off[grp.mul(g, k)]
-            for ab, col in enumerate(sparse.columns(h.graded_mult[g][k])):
+            for ab, col in enumerate(h.graded_mult[g][k].columns):
                 a, b = divmod(ab, dims[k])
                 mult[(off[g] + a) * n + off[k] + b] = {gk + c: v for c, v in col.items()}
-        for a, col in enumerate(sparse.columns(h.components[g].comult)):
+        for a, col in enumerate(h.components[g].comult.columns):
             comult[off[g] + a] = {(off[g] + c // d) * n + off[g] + c % d: v for c, v in col.items()}
-        for a, col in enumerate(sparse.columns(h.antipodes[g])):
+        for a, col in enumerate(h.antipodes[g].columns):
             antipode[off[g] + a] = {off[grp.inv(g)] + c: v for c, v in col.items()}
     e = grp.identity
-    unit = [f.zero] * off[e] + list(h.unit.col(0)) + [f.zero] * (n - off[e + 1])
+    unit = {off[e] + a: x for a, x in h.unit.columns[0].items()}
     return HopfAlgebraSC(
         field=f,
         dim=n,
         basis_names=tuple(name for c in h.components for name in c.basis_names),
-        mult=sparse.matrix(f, n, mult),
-        unit=Matrix.column(f, unit),
-        comult=sparse.matrix(f, n * n, comult),
-        counit=Matrix.row_vector(f, [x for c in h.components for x in c.counit.row(0)]),
-        antipode=sparse.matrix(f, n, antipode),
+        mult=Matrix(f, n, n * n, mult),
+        unit=Matrix(f, n, 1, (unit,)),
+        comult=Matrix(f, n * n, n, comult),
+        counit=Matrix(f, 1, n, [col for c in h.components for col in c.counit.columns]),
+        antipode=Matrix(f, n, n, antipode),
     )
 
 
@@ -510,20 +517,19 @@ def family_equations(h: HopfGroupCoalgebra) -> Matrix:
     """
     grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
-    rows: List[List] = []
+    rows: List[Vector] = []
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
-            delta = h.graded_comult[a][b].data
-            ua, ub = h.components[a].unit.col(0), h.components[b].unit.col(0)
+            delta = h.graded_comult[a][b].transpose().columns
+            ua, ub = h.components[a].unit.columns[0], h.components[b].unit.columns[0]
             for i in range(dims[a]):
                 for j in range(dims[b]):
-                    row = [f.zero] * off[-1]
-                    row[off[ab] : off[ab + 1]] = delta[i * dims[b] + j]
-                    row[off[b] + j] = f.sub(row[off[b] + j], ua[i])
-                    row[off[a] + i] = f.sub(row[off[a] + i], ub[j])
-                    rows.append(row)
-    return Matrix.from_rows(f, rows) if rows else Matrix.zeros(f, 0, off[-1])
+                    row = {off[ab] + c: x for c, x in delta[i * dims[b] + j].items()}
+                    for k, u in ((off[b] + j, ua.get(i, 0)), (off[a] + i, ub.get(j, 0))):
+                        row[k] = row.get(k, 0) - u
+                    rows.append(finish(f.characteristic, row))
+    return Matrix.of_rows(f, off[-1], rows)
 
 
 def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimitiveSpace, ...]:
@@ -544,23 +550,25 @@ def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimiti
     family_space = primitives(dual_hopf(total, validate=False), validate=False).space
 
     # Counit vanishes on the identity block of every solution family.
-    e = grp.identity
-    if any(h.counit.apply(row[off[e] : off[e + 1]])[0] != 0 for row in family_space.basis.data):
+    e, families = grp.identity, family_space.vectors
+    if any(h.counit.image(_block(v, off[e], off[e + 1])) for v in families):
         raise InvariantViolation("counit does not vanish on a solution family")
 
     out = []
     for g in grp.elements():
-        proj = [row[off[g] : off[g + 1]] for row in family_space.basis.data]
-        space = Subspace.from_vectors(f, dims[g], proj)
-        # The canonical family over each basis vector of the projection.
-        coeff = Matrix(f, family_space.dim, dims[g], tuple(proj)).transpose()
+        proj = [_block(v, off[g], off[g + 1]) for v in families]
+        space = Echelon(f, dims[g], proj).subspace()
+        # The canonical family over each basis vector of the projection: the
+        # solution x of sum_t x_t proj[t] = v, whose equations are the columns
+        # of the matrix with rows proj.
+        equations = Matrix.of_rows(f, dims[g], proj).columns
         sols = []
-        for v in space.basis.data:
-            sol = solve_particular(coeff, v)
+        for v in space.vectors:
+            sol = solve(f, family_space.dim, equations, v)
             if sol is None:
                 raise InvariantViolation("projection of the family space lost a vector")
             sols.append(sol)
-        space_families = Matrix(f, len(sols), family_space.dim, tuple(sols)) @ family_space.basis
+        space_families = Matrix.of_rows(f, family_space.dim, sols) @ family_space.basis
         lie = restricted_bracket(h.components[g], space, f"degree-{g} primitives")
         out.append(GPrimitiveSpace(h, g, family_space, space, lie, space_families))
     return tuple(out)
@@ -598,12 +606,12 @@ def g_indecomposables(h: HopfGroupAlgebra, validate: bool = True) -> GIndecompos
     n = total.dim
     qdim = q.quotient.dim
 
-    pi, mult = sparse.columns(q.pi), sparse.columns(total.mult)
+    pi, mult = q.pi.columns, total.mult.columns
     per_g = [Echelon(f, qdim, pi[off[g] : off[g + 1]]).subspace() for g in grp.elements()]
 
     # pi(x y) = pi(x) e(y) + e(x) pi(y) on homogeneous basis pairs.
     kt, kq = sparse.Kernel(f, n), sparse.Kernel(f, qdim)
-    eps = sparse.vector(total.counit.row(0))
+    eps = total.counit.transpose().columns[0]
     for a in range(n):
         for b in range(n):
             rhs = {t: pi[a].get(t, 0) * eps.get(b, 0) + eps.get(a, 0) * pi[b].get(t, 0)
@@ -612,21 +620,22 @@ def g_indecomposables(h: HopfGroupAlgebra, validate: bool = True) -> GIndecompos
                 raise InvariantViolation("degreewise product rule for pi fails")
 
     per_g_lie = []
-    upsilon_q = sparse.columns(q.lie_co.cobracket)
+    upsilon_q = q.lie_co.cobracket.columns
     for g in grp.elements():
-        basis = [sparse.vector(v) for v in per_g[g].basis.data]
+        basis = per_g[g].vectors
         k = len(basis)
         if k == 0:
             per_g_lie.append(LieCoalgebraSC(field=f, dim=0, cobracket=Matrix.zeros(f, 0, 0)))
             continue
-        kron_rows = sparse.transpose([kq.outer(x, y) for x in basis for y in basis], qdim * qdim)
+        kron = Matrix(f, qdim * qdim, k * k, [kq.outer(x, y) for x in basis for y in basis])
+        kron_rows = kron.transpose().columns
         cob_cols = []
         for x in basis:
             sol = solve(f, k * k, kron_rows, kq.apply(upsilon_q, x))
             if sol is None:
                 raise InvariantViolation("cobracket does not restrict to a homogeneous image")
             cob_cols.append(sol)
-        cob = sparse.matrix(f, k * k, cob_cols)
+        cob = Matrix(f, k * k, k, cob_cols)
         lc = LieCoalgebraSC(field=f, dim=k, cobracket=cob)
         rep = check_lie_coalgebra(lc)
         if not rep.ok:
@@ -680,13 +689,13 @@ def mich_tur1_verify(h: HopfGroupAlgebra, validate: bool = True) -> MichTur1Cert
     p_total = primitives(total, validate=False)
     p_e = primitives(identity_component_hopf(h), validate=False)
 
-    def embed(rows):
+    def embed(vectors):
         """The span of vectors of H_e, as vectors of the direct sum."""
-        before, after = (f.zero,) * off[e], (f.zero,) * (total.dim - off[e + 1])
-        return Subspace.from_vectors(f, total.dim, [before + tuple(r) + after for r in rows])
+        shifted = ({off[e] + k: x for k, x in v.items()} for v in vectors)
+        return Echelon(f, total.dim, shifted).subspace()
 
-    p_e_embedded = embed(p_e.space.basis.data)
-    e_block = embed(Matrix.identity(f, dims[e]).data)
+    p_e_embedded = embed(p_e.space.vectors)
+    e_block = embed({a: 1} for a in range(dims[e]))
     contained = p_total.space.is_subspace_of(e_block)
     equal = p_total.space == p_e_embedded
     return MichTur1Certificate(
@@ -805,8 +814,9 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
         pg = prims[g]
         qg = gind.per_g[g]
         k = qg.dim
-        pi_g_cols = [gind.Q.pi.col(off[g] + a) for a in range(dims[g])]
-        alpha = Matrix(f, dims[g], k, tuple(qg.coordinates_of(col) for col in pi_g_cols))
+        # Row a of alpha: the coordinates in Q_g of pi(e_a), e_a the basis of H_g.
+        pi_g = gind.Q.pi.columns[off[g] : off[g + 1]]
+        alpha = Matrix.of_rows(f, k, [qg.coordinates(col) for col in pi_g])
         pi_hat = alpha.transpose()
         image_ok, injective, dims_equal, lie_ok, coord_mat, failures = alpha_clauses(
             alpha, pg.space, pg.lie, gind.per_g_lie_co[g],
@@ -828,12 +838,12 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
             reps.append(x)
         if beta_defined:
             on_fibers = pg.space.basis @ nullspace(pi_hat).basis.transpose()
-            i = next((i for i, row in enumerate(on_fibers.data) if any(row)), None)
+            i = min((i for col in on_fibers.columns for i in col), default=None)
             if i is not None:
                 beta_defined = False
                 failures.append(f"primitive functional {i} not constant on pi_g fibers")
         if beta_defined:
-            beta = Matrix(f, k, dims[g], tuple(reps)) @ pg.space.basis.transpose()
+            beta = Matrix.of_rows(f, dims[g], list(map(vector, reps))) @ pg.space.basis.transpose()
         else:
             beta = Matrix.zeros(f, k, pg.space.dim)
         beta_alpha = False
@@ -867,13 +877,11 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
     counit_vanishes = True
     e = grp.identity
     for pg in prims:
-        for fam in pg.space_families.data:
+        for fam in pg.space_families.transpose().columns:
             for idx in grp.elements():
-                block = fam[off[idx] : off[idx] + dims[idx]]
-                if not prims[idx].space.contains(block):
+                if prims[idx].space.echelon.reduce(_block(fam, off[idx], off[idx + 1])):
                     comp_primitive = False
-            eps_val = hd.counit.apply(fam[off[e] : off[e] + dims[e]])[0]
-            if eps_val != 0:
+            if hd.counit.image(_block(fam, off[e], off[e + 1])):
                 counit_vanishes = False
 
     return GroupMichaelisCertificate(

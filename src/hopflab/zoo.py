@@ -17,34 +17,29 @@ from typing import Dict, Tuple
 
 from .fields import FieldSpec
 from .hopf import AlgebraSC, CoalgebraSC, HopfAlgebraSC, dual_hopf
-from .linalg import Matrix
+from .linalg import Matrix, finish
 from .turaev import FiniteGroup, HopfGroupAlgebra, trivial_group
+
+
+def _map(f: FieldSpec, rows: int, cols: int, entries: Dict[int, Dict[int, int]]) -> Matrix:
+    """The matrix whose column c has the integer entries ``entries[c]``
+    ``{row: value}`` (none if c is absent), read in ``f``."""
+    p = f.characteristic
+    return Matrix(f, rows, cols, tuple(finish(p, entries.get(c, {})) for c in range(cols)))
 
 
 def group_algebra(g: FiniteGroup, f: FieldSpec) -> HopfAlgebraSC:
     """The group algebra kG: grouplike basis, S the inversion permutation."""
     n = g.order
-    zero, one = f.zero, f.one
-    mult = [[zero] * (n * n) for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            mult[g.mul(a, b)][a * n + b] = one
-    comult = [[zero] * n for _ in range(n * n)]
-    for a in range(n):
-        comult[a * n + a][a] = one
-    antipode = [[zero] * n for _ in range(n)]
-    for a in range(n):
-        antipode[g.inv(a)][a] = one
-    unit = [one if a == g.identity else zero for a in range(n)]
     return HopfAlgebraSC(
         field=f,
         dim=n,
         basis_names=g.element_names,
-        mult=Matrix(f, n, n * n, tuple(tuple(r) for r in mult)),
-        unit=Matrix.column(f, unit),
-        comult=Matrix(f, n * n, n, tuple(tuple(r) for r in comult)),
-        counit=Matrix.row_vector(f, [one] * n),
-        antipode=Matrix(f, n, n, tuple(tuple(r) for r in antipode)),
+        mult=_map(f, n, n * n, {a * n + b: {g.mul(a, b): 1} for a in range(n) for b in range(n)}),
+        unit=_map(f, n, 1, {0: {g.identity: 1}}),
+        comult=_map(f, n * n, n, {a: {a * n + a: 1} for a in range(n)}),
+        counit=_map(f, 1, n, {a: {0: 1} for a in range(n)}),
+        antipode=_map(f, n, n, {a: {g.inv(a): 1} for a in range(n)}),
     )
 
 
@@ -62,49 +57,31 @@ def sweedler4(f: FieldSpec) -> HopfAlgebraSC:
     if f.characteristic == 2:
         raise ValueError("this algebra degenerates in characteristic 2")
     names = ("1", "g", "x", "gx")
-    one = f.one
-    minus = f.neg(one)
-    prods: Dict[Tuple[int, int], Dict[int, object]] = {}
+    prods: Dict[Tuple[int, int], Dict[int, int]] = {}  # the products that are not zero
     for j in range(4):
-        prods[(0, j)] = {j: one}
-        prods[(j, 0)] = {j: one}
-    prods[(1, 1)] = {0: one}
-    prods[(1, 2)] = {3: one}
-    prods[(1, 3)] = {2: one}
-    prods[(2, 1)] = {3: minus}
-    prods[(2, 2)] = {}
-    prods[(2, 3)] = {}
-    prods[(3, 1)] = {2: minus}
-    prods[(3, 2)] = {}
-    prods[(3, 3)] = {}
-    zero = f.zero
-    mult = [[zero] * 16 for _ in range(4)]
-    for (i, j), terms in prods.items():
-        for k, c in terms.items():
-            mult[k][i * 4 + j] = c
-    comult = [[zero] * 4 for _ in range(16)]
-    for i, terms in {
-        0: {(0, 0): one},
-        1: {(1, 1): one},
-        2: {(2, 0): one, (1, 2): one},
-        3: {(3, 1): one, (0, 3): one},
-    }.items():
-        for (a, b), c in terms.items():
-            comult[a * 4 + b][i] = c
-    antipode = [[zero] * 4 for _ in range(4)]
-    antipode[0][0] = one
-    antipode[1][1] = one
-    antipode[3][2] = minus
-    antipode[2][3] = one
+        prods[(0, j)] = {j: 1}
+        prods[(j, 0)] = {j: 1}
+    prods[(1, 1)] = {0: 1}
+    prods[(1, 2)] = {3: 1}
+    prods[(1, 3)] = {2: 1}
+    prods[(2, 1)] = {3: -1}
+    prods[(3, 1)] = {2: -1}
+    coprods = {
+        0: {(0, 0): 1},
+        1: {(1, 1): 1},
+        2: {(2, 0): 1, (1, 2): 1},
+        3: {(3, 1): 1, (0, 3): 1},
+    }
     return HopfAlgebraSC(
         field=f,
         dim=4,
         basis_names=names,
-        mult=Matrix(f, 4, 16, tuple(tuple(r) for r in mult)),
-        unit=Matrix.column(f, [one, zero, zero, zero]),
-        comult=Matrix(f, 16, 4, tuple(tuple(r) for r in comult)),
-        counit=Matrix.row_vector(f, [one, one, zero, zero]),
-        antipode=Matrix(f, 4, 4, tuple(tuple(r) for r in antipode)),
+        mult=_map(f, 4, 16, {i * 4 + j: terms for (i, j), terms in prods.items()}),
+        unit=_map(f, 4, 1, {0: {0: 1}}),
+        comult=_map(f, 16, 4, {i: {a * 4 + b: c for (a, b), c in terms.items()}
+                               for i, terms in coprods.items()}),
+        counit=_map(f, 1, 4, {0: {0: 1}, 1: {0: 1}}),
+        antipode=_map(f, 4, 4, {0: {0: 1}, 1: {1: 1}, 2: {3: -1}, 3: {2: 1}}),
     )
 
 
@@ -116,28 +93,16 @@ def truncated_poly(p: int) -> HopfAlgebraSC:
     """
     f = FieldSpec.prime(p)
     names = tuple("1" if k == 0 else ("x" if k == 1 else f"x{k}") for k in range(p))
-    zero, one = f.zero, f.one
-    mult = [[zero] * (p * p) for _ in range(p)]
-    for i in range(p):
-        for j in range(p):
-            if i + j < p:
-                mult[i + j][i * p + j] = one
-    comult = [[zero] * p for _ in range(p * p)]
-    for k in range(p):
-        for j in range(k + 1):
-            comult[j * p + (k - j)][k] = f.coerce(comb(k, j))
-    antipode = [[zero] * p for _ in range(p)]
-    for k in range(p):
-        antipode[k][k] = f.coerce((-1) ** k)
     return HopfAlgebraSC(
         field=f,
         dim=p,
         basis_names=names,
-        mult=Matrix(f, p, p * p, tuple(tuple(r) for r in mult)),
-        unit=Matrix.column(f, [one] + [zero] * (p - 1)),
-        comult=Matrix(f, p * p, p, tuple(tuple(r) for r in comult)),
-        counit=Matrix.row_vector(f, [one] + [zero] * (p - 1)),
-        antipode=Matrix(f, p, p, tuple(tuple(r) for r in antipode)),
+        mult=_map(f, p, p * p, {i * p + j: {i + j: 1} for i in range(p) for j in range(p - i)}),
+        unit=_map(f, p, 1, {0: {0: 1}}),
+        comult=_map(f, p * p, p, {k: {j * p + (k - j): comb(k, j) for j in range(k + 1)}
+                                  for k in range(p)}),
+        counit=_map(f, 1, p, {0: {0: 1}}),
+        antipode=_map(f, p, p, {k: {k: (-1) ** k} for k in range(p)}),
     )
 
 
@@ -164,7 +129,6 @@ def exterior_super(n: int) -> HopfAlgebraSC:
         raise ValueError("need at least one generator")
     f = FieldSpec.rationals()
     dim = 1 << n
-    zero, one = f.zero, f.one
 
     def subset_name(s: int) -> str:
         if s == 0:
@@ -174,14 +138,9 @@ def exterior_super(n: int) -> HopfAlgebraSC:
     names = tuple(subset_name(s) for s in range(dim))
     parity = tuple(bin(s).count("1") % 2 for s in range(dim))
 
-    mult = [[zero] * (dim * dim) for _ in range(dim)]
-    for s in range(dim):
-        for t in range(dim):
-            if s & t:
-                continue
-            mult[s | t][s * dim + t] = f.coerce(_wedge_sign(s, t))
-
-    comult = [[zero] * dim for _ in range(dim * dim)]
+    mult = {s * dim + t: {s | t: _wedge_sign(s, t)}
+            for s in range(dim) for t in range(dim) if not s & t}
+    comult = {}
     for s in range(dim):
         # Expand the product of (x_i (x) 1 + 1 (x) x_i) over i in s, using the
         # Koszul product (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd.
@@ -200,22 +159,18 @@ def exterior_super(n: int) -> HopfAlgebraSC:
                     key = (a, b | (1 << i))
                     new[key] = new.get(key, 0) + c * sign
             terms = {k: v for k, v in new.items() if v}
-        for (a, b), c in terms.items():
-            comult[a * dim + b][s] = f.coerce(c)
+        comult[s] = {a * dim + b: c for (a, b), c in terms.items()}
 
-    antipode = [[zero] * dim for _ in range(dim)]
-    for s in range(dim):
-        antipode[s][s] = f.coerce((-1) ** (bin(s).count("1")))
     return HopfAlgebraSC(
         field=f,
         dim=dim,
         basis_names=names,
-        mult=Matrix(f, dim, dim * dim, tuple(tuple(r) for r in mult)),
-        unit=Matrix.column(f, [one] + [zero] * (dim - 1)),
-        comult=Matrix(f, dim * dim, dim, tuple(tuple(r) for r in comult)),
-        counit=Matrix.row_vector(f, [one] + [zero] * (dim - 1)),
+        mult=_map(f, dim, dim * dim, mult),
+        unit=_map(f, dim, 1, {0: {0: 1}}),
+        comult=_map(f, dim * dim, dim, comult),
+        counit=_map(f, 1, dim, {0: {0: 1}}),
         parity=parity,
-        antipode=Matrix(f, dim, dim, tuple(tuple(r) for r in antipode)),
+        antipode=_map(f, dim, dim, {s: {s: (-1) ** parity[s]} for s in range(dim)}),
     )
 
 
@@ -253,22 +208,15 @@ def matrix_algebra(n: int, f: FieldSpec) -> AlgebraSC:
     if n < 1:
         raise ValueError("need n >= 1")
     dim = n * n
-    zero, one = f.zero, f.one
     names = tuple(f"E{i}{j}" for i in range(n) for j in range(n))
-    mult = [[zero] * (dim * dim) for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        mult[i * n + l][(i * n + j) * dim + (k * n + l)] = one
-    unit = [one if i == j else zero for i in range(n) for j in range(n)]
+    mult = {(i * n + j) * dim + (j * n + l): {i * n + l: 1}
+            for i in range(n) for j in range(n) for l in range(n)}
     return AlgebraSC(
         field=f,
         dim=dim,
         basis_names=names,
-        mult=Matrix(f, dim, dim * dim, tuple(tuple(r) for r in mult)),
-        unit=Matrix.column(f, unit),
+        mult=_map(f, dim, dim * dim, mult),
+        unit=_map(f, dim, 1, {0: {i * n + i: 1 for i in range(n)}}),
     )
 
 

@@ -69,7 +69,7 @@ def _bumped(m: Matrix, r: int, c: int) -> Matrix:
     f = m.field
     data = [list(row) for row in m.data]
     data[r][c] = f.add(data[r][c], f.one)
-    return Matrix(f, m.rows, m.cols, tuple(tuple(row) for row in data))
+    return Matrix.from_rows(f, data)
 
 
 def tampers(obj):

@@ -5,7 +5,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopflab import cli
@@ -174,6 +174,21 @@ class TestMalformedValues:
         data["antipode"]["rows"] = "4"
         assert "rows" in self._rejected(tmp_path, capsys, data)
 
+    # A 0 x n antipode has no entries, so its entry count matches for any n;
+    # the declared shape is checked before n empty columns are built.
+
+    def test_antipode_with_no_rows_and_huge_cols(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        data["antipode"].update(rows=0, cols=10 ** 12, entries=[])
+        assert "matrix shape" in self._rejected(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["algebra", "coalgebra"])
+    def test_graded_antipode_with_no_rows_and_huge_cols(self, tmp_path, capsys, dual):
+        h = diagonal_group_algebra(cyclic_group(3), F3)
+        data = json.loads(dumps(dagger(h) if dual else h))
+        data["antipodes"]["1"].update(rows=0, cols=10 ** 12, entries=[])
+        assert "matrix shape" in self._rejected(tmp_path, capsys, data)
+
     def test_field_characteristic_string(self, tmp_path, capsys):
         data = json.loads(dumps(truncated_poly(3)))
         data["field"]["p"] = "3"
@@ -196,9 +211,9 @@ class TestMalformedValues:
         assert "coefficient" in self._rejected(tmp_path, capsys, data)
 
 
-    # A (co)multiplication's dense grid is sized by the declared dimensions
-    # before any triple is read, so a grid over ``MAX_MAP_ENTRIES`` is bad
-    # input, named in the message, rather than a ``MemoryError``.
+    # A (co)multiplication's list of columns is sized by the declared
+    # dimensions before any triple is read, so a map over ``MAX_MAP_ENTRIES``
+    # is bad input, named in the message, rather than a ``MemoryError``.
 
     def test_huge_dim(self, tmp_path, capsys):
         data = json.loads(dumps(sweedler4(Q)))
@@ -438,6 +453,11 @@ FUZZ_TARGETS = [(d, path) for d, doc in enumerate(FUZZ_DOCUMENTS) for path in _v
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(target=st.sampled_from(FUZZ_TARGETS),
        value=st.sampled_from(FUZZ_VALUES + ["<delete>"]))
+# A huge dimension, which the sampled examples never draw: on a classical
+# file, on a graded component and on an antipode.
+@example(target=(0, ("dim",)), value=10 ** 12)
+@example(target=(3, ("components", 1, "dim")), value=10 ** 12)
+@example(target=(0, ("antipode", "rows")), value=10 ** 12)
 def test_mutated_files_keep_the_exit_code_contract(target, value, tmp_path_factory):
     d, path = target
     data = json.loads(json.dumps(FUZZ_DOCUMENTS[d]))
@@ -690,3 +710,25 @@ def pinned_run(case: str, d, capsys):
 @pytest.mark.parametrize("case", PIN_CASES)
 def test_output_is_pinned(case, pin_dir, capsys):
     assert pinned_run(case, pin_dir, capsys) == CLI_PINS[case]
+
+
+def test_one_parser_serves_a_sequence_of_calls(pin_dir, capsys):
+    # main() builds its parser once per process, so a call must leave nothing
+    # behind for the next: not a computation, a zoo error, an argparse error
+    # or --help.
+    def exits(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code, capsys.readouterr()
+
+    sequence = ["michaelis --json trunc3", "zoo truncated-poly", "check --json tampered"]
+    for case in sequence:
+        assert pinned_run(case, pin_dir, capsys) == CLI_PINS[case]
+    help_code, help_text = exits(["--help"])
+    assert help_code == 0 and "group-michaelis" in help_text.out
+    assert exits(["check", "--kind", "nope", "x"])[0] == 2
+    assert exits(["michaelis"])[0] == 2
+    for case in [*sequence, "zoo frobnicator", "gprimitives --g 3 diag_z3_dagger"]:
+        assert pinned_run(case, pin_dir, capsys) == CLI_PINS[case]
+    assert exits(["--help"]) == (help_code, help_text)
+    assert cli.build_parser() is cli.build_parser()

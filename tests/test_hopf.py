@@ -10,6 +10,7 @@ from hopflab.hopf import (
     AlgebraSC,
     check_algebra,
     check_bialgebra,
+    check_coalgebra,
     check_hopf,
     convolution,
     convolution_unit,
@@ -20,7 +21,10 @@ from hopflab.hopf import (
     solve_antipode,
 )
 from hopflab.linalg import Matrix
+from hopflab.primitives import indecomposables, michaelis_verify, primitives
+from hopflab.serialize import dumps
 from hopflab.zoo import (
+    diagonal_group_algebra,
     exterior_super,
     function_hopf,
     group_algebra,
@@ -29,7 +33,16 @@ from hopflab.zoo import (
     trivial_hopf,
     truncated_poly,
 )
-from hopflab.turaev import cyclic_group, symmetric_group
+from hopflab.turaev import (
+    check_hopf_group_algebra,
+    check_hopf_group_coalgebra,
+    cyclic_group,
+    dagger,
+    g_primitives,
+    group_michaelis_verify,
+    mich_tur1_verify,
+    symmetric_group,
+)
 
 from oracle import oracle_integrals, subspace_rows
 
@@ -262,3 +275,41 @@ class TestSolveAntipode:
         )
         assert check_bialgebra(bial).ok
         assert solve_antipode(bial) is None
+
+
+# -- stored vectors are read-only ----------------------------------------------
+#
+# A matrix stores its nonzero entries as vectors that other matrices may share,
+# so no computation may change them: the input's canonical text is the same
+# after every computation as before.
+
+READ_ONLY_RUNS = [
+    lambda h: check_algebra(h.algebra),
+    lambda h: check_coalgebra(h.coalgebra),
+    check_bialgebra,
+    check_hopf,
+    primitives,
+    indecomposables,
+    michaelis_verify,
+    left_integrals,
+    lambda h: solve_antipode(h.bialgebra),
+    dual_hopf,
+]
+
+
+@pytest.mark.parametrize("h", zoo_hopf_examples(), ids=lambda h: "-".join(h.basis_names[:2]))
+def test_computations_leave_the_structure_maps_unchanged(h):
+    before = dumps(h)
+    for run in READ_ONLY_RUNS:
+        run(h)
+        assert dumps(h) == before, run
+
+
+def test_graded_computations_leave_the_structure_maps_unchanged():
+    h = diagonal_group_algebra(symmetric_group(3), Q)
+    hd = dagger(h)
+    before = dumps(h), dumps(hd)
+    for run in (check_hopf_group_algebra, group_michaelis_verify, mich_tur1_verify,
+                lambda _: check_hopf_group_coalgebra(hd), lambda _: g_primitives(hd)):
+        run(h)
+        assert (dumps(h), dumps(hd)) == before, run

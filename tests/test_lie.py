@@ -37,7 +37,7 @@ def bracket_from_table(field, dim, table):
     for (i, j), terms in table.items():
         for k, c in terms:
             grid[k][i * dim + j] = field.coerce(c)
-    return Matrix(field, dim, dim * dim, tuple(tuple(r) for r in grid))
+    return Matrix.from_rows(field, grid)
 
 
 def sl2_like():

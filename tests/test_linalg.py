@@ -243,10 +243,11 @@ class TestSolve:
 
 
 @st.composite
-def oracle_matrix(draw, field=None, cols=None):
+def oracle_matrix(draw, field=None, cols=None, height=None):
     """A field and a matrix of up to 6 x 8 over it, as plain rows: entries
     are often zero, rationals are often not integers, and zero and repeated
-    rows are common.  Zero rows or zero columns are allowed."""
+    rows are common.  Zero rows or zero columns are allowed.  ``height``
+    fixes the number of rows."""
     if field is None:
         field = draw(st.sampled_from([Q, F2, F5]))
     if cols is None:
@@ -257,14 +258,15 @@ def oracle_matrix(draw, field=None, cols=None):
         nonzero = st.integers(1, field.characteristic - 1)
     entry = st.one_of(st.just(0), nonzero).map(field.coerce)
     row = st.lists(entry, min_size=cols, max_size=cols)
-    rows = draw(st.lists(st.one_of(row, st.just([field.zero] * cols)), max_size=6))
-    if rows and len(rows) < 6 and draw(st.booleans()):
+    size = {"max_size": 6} if height is None else {"min_size": height, "max_size": height}
+    rows = draw(st.lists(st.one_of(row, st.just([field.zero] * cols)), **size))
+    if height is None and rows and len(rows) < 6 and draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     return field, cols, rows
 
 
 def _matrix(field, cols, rows):
-    return Matrix(field, len(rows), cols, tuple(map(tuple, rows)))
+    return Matrix.from_rows(field, rows) if rows else Matrix.zeros(field, 0, cols)
 
 
 class TestAgainstOracle:
@@ -321,6 +323,70 @@ class TestAgainstOracle:
         coeffs = null_basis(equations, len(a) + len(b), p) if a and b else []
         meets = [[sum(c[i] * a[i][j] for i in range(len(a))) for j in range(cols)] for c in coeffs]
         assert got.basis.rows_list() == basis_rows(meets, p)
+
+    # Matrix arithmetic against the same operations on nested lists.
+
+    @given(oracle_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_round_trip_and_transpose(self, case):
+        field, cols, rows = case
+        m = _matrix(field, cols, rows)
+        assert m.shape == (len(rows), cols)
+        assert m.data == tuple(map(tuple, rows)) and m.rows_list() == rows
+        assert Matrix.from_rows(field, rows).data == m.data
+        assert m.transpose().rows_list() == [[r[j] for r in rows] for j in range(cols)]
+        assert m == m.transpose().transpose() == _matrix(field, cols, [list(r) for r in rows])
+
+    @given(oracle_matrix(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sum_difference_and_equality(self, case, data):
+        field, cols, rows = case
+        other = data.draw(oracle_matrix(field, cols, len(rows)))[2]
+        a, b, p = _matrix(field, cols, rows), _matrix(field, cols, other), field.characteristic
+        assert (a + b).rows_list() == [[_mod(x + y, p) for x, y in zip(r, s)] for r, s in zip(rows, other)]
+        assert (a - b).rows_list() == [[_mod(x - y, p) for x, y in zip(r, s)] for r, s in zip(rows, other)]
+        assert (-a).rows_list() == [[_mod(-x, p) for x in r] for r in rows]
+        assert (a == b) == (rows == other)
+
+    @given(oracle_matrix(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_product_and_apply(self, case, data):
+        field, cols, rows = case
+        right = data.draw(oracle_matrix(field, height=cols))
+        p, inner = field.characteristic, right[2]
+        got = _matrix(field, cols, rows) @ _matrix(*right)
+        assert got.shape == (len(rows), right[1])
+        assert got.rows_list() == [[_mod(sum(r[t] * inner[t][j] for t in range(cols)), p)
+                                    for j in range(right[1])] for r in rows]
+        vec = data.draw(oracle_matrix(field, cols, 1))[2][0]
+        assert _matrix(field, cols, rows).apply(vec) == tuple(
+            _mod(sum(x * y for x, y in zip(r, vec)), p) for r in rows)
+
+    @given(oracle_matrix(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tensor(self, case, data):
+        field, cols, rows = case
+        _, b_cols, b_rows = data.draw(oracle_matrix(field))
+        got = tensor(_matrix(field, cols, rows), _matrix(field, b_cols, b_rows))
+        assert got.shape == (len(rows) * len(b_rows), cols * b_cols)
+        assert got.rows_list() == [[_mod(x * y, field.characteristic) for x in r for y in s]
+                                   for r in rows for s in b_rows]
+
+
+def _mod(x, p):
+    return x % p if p else x
+
+
+class TestApplyCoercesInput:
+    def test_negative_entry_over_f5(self):
+        assert M(F5, [[1, 2], [0, 3]]).apply([-1, 1]) == (1, 3)
+
+    def test_fraction_over_f5_reads_as_a_residue(self):
+        # 1/2 is 3 in F5.
+        assert M(F5, [[1, 1]]).apply([Fraction(1, 2), 0]) == (3,)
+
+    def test_string_over_q(self):
+        assert M(Q, [[2, 0]]).apply(["1/3", "5"]) == (Fraction(2, 3),)
 
 
 class TestEchelon:

@@ -172,7 +172,7 @@ class TestMichaelis:
         # must solve the primitivity equations of the dual.
         from hopflab.serialize import matrix_from_json
 
-        alpha = matrix_from_json(h.field, again["alpha"])
+        alpha = matrix_from_json(h.field, again["alpha"], cert.alpha.shape)
         hd = dual_hopf(h)
         ident = Matrix.identity(h.field, h.dim)
         system = hd.comult - tensor(hd.unit, ident) - tensor(ident, hd.unit)

@@ -58,7 +58,7 @@ class TestScalarFormat:
 
     def test_matrix_shape_round_trip(self):
         m = Matrix.from_rows(Q, [[1, "1/3"], [0, 2]])
-        assert matrix_from_json(Q, matrix_to_json(m)) == m
+        assert matrix_from_json(Q, matrix_to_json(m), m.shape) == m
 
 
 class TestTripleLists:
