@@ -3,13 +3,21 @@
 Every ``check_*`` entry point returns a :class:`VerificationReport` listing
 each axiom separately with pass/fail, a witness on failure, and the time the
 check took.  A single boolean would hide which diagram failed.
+
+A graded check has one row per axiom and block of degrees, tens of thousands
+over a group of order 24, nearly all passing.  Each family of graded axioms
+is one :class:`AxiomFamily`, which holds only the rows of the blocks where
+the sides differ.  ``ok`` and ``failures`` read those; ``checks``,
+``to_json``, ``__str__`` and ``merge`` expand every row, in order.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -26,26 +34,79 @@ class AxiomCheck:
         return out
 
 
+def _label(block: Tuple[str, ...]) -> str:
+    return f"[{','.join(block)}]" if block else ""
+
+
+class AxiomFamily:
+    """The rows of graded axioms ``names`` over every block of ``arity``
+    degrees, a block being a tuple of indices into ``elements``.
+
+    Row ``name[g,h,...]`` comes for each block in lexicographic order, and
+    within a block for each name in order.  ``differing`` maps the position
+    of a row to the row recorded where the axiom's sides differ; every other
+    row passes and is built only when the rows are read.  The first row
+    carries ``elapsed_s``, the time the family's evaluation took.
+    """
+
+    # A plain class: defining a dataclass costs about 0.3 ms at import.
+    def __init__(self, names: Tuple[str, ...], arity: int, elements: Tuple[str, ...],
+                 elapsed_s: float) -> None:
+        self.names, self.arity, self.elements, self.elapsed_s = names, arity, elements, elapsed_s
+        self.differing: Dict[int, AxiomCheck] = {}
+
+    def record(self, block: Tuple[int, ...], i: int, lhs: Callable[[], dict],
+               rhs: Callable[[], dict], transposed: bool = False) -> None:
+        """The row of axiom ``i`` on ``block`` through :func:`matrix_axiom`."""
+        one = VerificationReport("block")
+        name = self.names[i] + _label(tuple(self.elements[g] for g in block))
+        matrix_axiom(one, name, lhs, rhs, transposed=transposed)
+        row = one.checks[0]
+        index = functools.reduce(lambda acc, g: acc * len(self.elements) + g, block, 0)
+        pos = index * len(self.names) + i  # the row's place in ``rows()``
+        self.differing[pos] = replace(row, elapsed_s=row.elapsed_s + self.elapsed_s) if pos == 0 else row
+
+    def recorded(self) -> List[AxiomCheck]:
+        """The rows recorded through ``record``, in row order."""
+        return [self.differing[pos] for pos in sorted(self.differing)]
+
+    def rows(self) -> List[AxiomCheck]:
+        out = [AxiomCheck(name + _label(block), True)
+               for block in itertools.product(self.elements, repeat=self.arity) for name in self.names]
+        out[0] = replace(out[0], elapsed_s=self.elapsed_s)
+        for pos, row in self.differing.items():
+            out[pos] = row
+        return out
+
+
 @dataclass
 class VerificationReport:
     object_kind: str
-    checks: List[AxiomCheck] = field(default_factory=list)
+    parts: List[Union[AxiomCheck, AxiomFamily]] = field(default_factory=list)
+
+    def _rows(self, expand) -> Iterator[AxiomCheck]:
+        for part in self.parts:
+            yield from expand(part) if isinstance(part, AxiomFamily) else (part,)
+
+    @property
+    def checks(self) -> List[AxiomCheck]:
+        return list(self._rows(AxiomFamily.rows))
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for c in self._rows(AxiomFamily.recorded))
 
     @property
     def failures(self) -> List[AxiomCheck]:
-        return [c for c in self.checks if not c.passed]
+        return [c for c in self._rows(AxiomFamily.recorded) if not c.passed]
 
-    def add(self, check: AxiomCheck) -> None:
-        self.checks.append(check)
+    def add(self, part: Union[AxiomCheck, AxiomFamily]) -> None:
+        self.parts.append(part)
 
     def merge(self, other: "VerificationReport", prefix: str = "") -> None:
         for c in other.checks:
             name = f"{prefix}{c.name}" if prefix else c.name
-            self.checks.append(AxiomCheck(name, c.passed, c.witness, c.elapsed_s))
+            self.parts.append(AxiomCheck(name, c.passed, c.witness, c.elapsed_s))
 
     def to_json(self) -> dict:
         return {

@@ -179,12 +179,12 @@ _GRADED = {
     "turaev-coalg": (HopfGroupCoalgebra, AlgebraSC, ("mult", "unit")),
 }
 
-# The most entries a (co)multiplication or (co)bracket may have.  Only the
-# nonzero entries are stored, but the map's list of columns is as long as its
-# declared dimensions make it (dim**2 for a multiplication), and the axiom
-# walks visit every column.  The largest zoo input, exterior_super(8) of
-# dimension 2**8, has 2**24.
-MAX_MAP_ENTRIES = 2 ** 24
+# The most rows or columns a (co)multiplication or (co)bracket may have.
+# Only the nonzero entries are stored, but a map's list of columns is as long
+# as its declared dimensions make it (dim**2 for a multiplication, and for a
+# comultiplication once transposed), and the axiom walks visit every column.
+# The zoo's kS6 of dimension 720 has 720**2 columns in its multiplication.
+MAX_MAP_SIDE = 2 ** 20
 
 # The triple form of each (co)multiplication and (co)bracket, graded or not.
 _MULT, _COMULT = (mult_to_triples, mult_from_triples), (comult_to_triples, comult_from_triples)
@@ -204,10 +204,10 @@ def _map_from_json(field: FieldSpec, name: str, data, *dims: int) -> Matrix:
     """The inverse of ``_map_to_json``; for triples ``dims`` is the dimension
     of the unfactored side followed by those of the two factors."""
     if name in _TRIPLES:
-        entries = dims[0] * dims[1] * dims[2]
-        if entries > MAX_MAP_ENTRIES:
-            raise ValueError(f"{name} would have {entries} entries at the declared dimensions, "
-                             f"more than the {MAX_MAP_ENTRIES} a structure map may have")
+        side = max(dims[0], dims[1] * dims[2])
+        if side > MAX_MAP_SIDE:
+            raise ValueError(f"{name} would have {side} rows or columns at the declared "
+                             f"dimensions, more than the {MAX_MAP_SIDE} a structure map may have")
         return _TRIPLES[name][1](field, *dims, data)
     if name == "antipode":
         return matrix_from_json(field, data, (dims[0], dims[0]))

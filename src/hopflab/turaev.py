@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import InvalidStructureError, InvariantViolation, ShapeError
@@ -46,7 +46,7 @@ from .primitives import (
     restricted_bracket,
 )
 from . import sparse
-from .report import AxiomCheck, VerificationReport, matrix_axiom
+from .report import AxiomCheck, AxiomFamily, VerificationReport
 
 
 # -- finite groups -------------------------------------------------------------
@@ -275,10 +275,11 @@ def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, du
     Each graded axiom is the block of an axiom of the total Hopf algebra on
     the columns whose tensor factors have its degrees.  The sparse kernel
     evaluates each total axiom once, and only the entries where its sides
-    differ are sorted into blocks, in block coordinates.  A block with no such
-    entry is recorded as passing without evaluating anything more; a block
-    with one goes through ``matrix_axiom`` for its witness.  The first row of
-    each family of axioms carries the time the family's evaluation took."""
+    differ are sorted into blocks, in block coordinates.  Each family of
+    axioms goes into the report as one ``AxiomFamily``: a block with such
+    entries gets its row, with its witness, through ``matrix_axiom``, and a
+    block with none is a passing row that is built only when the rows are
+    read.  The family carries the time its evaluation took."""
     grp = h.group
     rep.merge(check_group(grp), "group.")
     if not rep.ok:
@@ -326,20 +327,14 @@ def _hopf_group_axioms(rep, h: HopfGroupAlgebra, components, check_component, du
         (1, [("antipode", ".left", (k.antipode(mult, comult, s, True), target), 1),
              ("antipode", ".right", (k.antipode(mult, comult, s, False), target), 1)]),
     ):
-        start, first = time.perf_counter(), len(rep.checks)
-        splits = [(names.get(stem, stem) + suffix, differing(sides, rows, arity))
-                  for stem, suffix, sides, rows in family]
-        spent = time.perf_counter() - start
-        for block in itertools.product(grp.elements(), repeat=arity):
-            label = f"[{','.join(nm[g] for g in block)}]" if block else ""
-            for name, diff in splits:
-                if block in diff:
-                    lhs, rhs = diff[block]
-                    matrix_axiom(rep, name + label, lambda: lhs, lambda: rhs, transposed=dual)
-                else:
-                    rep.add(AxiomCheck(name + label, True))
-        head = rep.checks[first]
-        rep.checks[first] = replace(head, elapsed_s=head.elapsed_s + spent)
+        start = time.perf_counter()
+        splits = [differing(sides, rows, arity) for _, _, sides, rows in family]
+        axioms = AxiomFamily(tuple(names.get(stem, stem) + suffix for stem, suffix, _, _ in family),
+                             arity, nm, time.perf_counter() - start)
+        for i, diff in enumerate(splits):
+            for block, (lhs, rhs) in diff.items():
+                axioms.record(block, i, lambda: lhs, lambda: rhs, transposed=dual)
+        rep.add(axioms)
     return rep
 
 
@@ -532,7 +527,8 @@ def family_equations(h: HopfGroupCoalgebra) -> Matrix:
     return Matrix.of_rows(f, off[-1], rows)
 
 
-def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimitiveSpace, ...]:
+def g_primitives(h: HopfGroupCoalgebra, validate: bool = True,
+                 total: Optional[HopfAlgebraSC] = None) -> Tuple[GPrimitiveSpace, ...]:
     """Primitives of a Hopf group-coalgebra in every degree, each as a Lie algebra.
 
     The Hopf algebra T* = dual_hopf(total_hopf(dagger h)) has the blocks
@@ -541,12 +537,14 @@ def g_primitives(h: HopfGroupCoalgebra, validate: bool = True) -> Tuple[GPrimiti
     families are exactly P(T*).  One ``primitives(T*)`` gives the family space
     and certifies that the componentwise commutator of two families is again
     a family; each degree projects it and restricts the commutator of H_g.
+    A caller that already holds ``total_hopf(dagger h)`` passes it as ``total``.
     """
     if validate:
         require_valid(h, check_hopf_group_coalgebra, "g_primitives input")
     grp, f, dims = h.group, h.field, h.dims
     off = _offsets(dims)
-    total = total_hopf(dagger(h, validate=False), validate=False)
+    if total is None:
+        total = total_hopf(dagger(h, validate=False), validate=False)
     family_space = primitives(dual_hopf(total, validate=False), validate=False).space
 
     # Counit vanishes on the identity block of every solution family.
@@ -807,7 +805,7 @@ def group_michaelis_verify(h: HopfGroupAlgebra, validate: bool = True) -> GroupM
     off = _offsets(dims)
     hd = dagger(h, validate=False)
     gind = g_indecomposables(h, validate=False)
-    prims = g_primitives(hd, validate=False)
+    prims = g_primitives(hd, validate=False, total=gind.total)
 
     degrees: List[DegreeCertificate] = []
     for g in grp.elements():

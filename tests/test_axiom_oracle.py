@@ -6,7 +6,9 @@ bumped by one in turn; the library's report, as (name, passed, witness) per
 axiom, must equal ``oracle_axiom_check`` exactly, witness labels and values
 included.  Hopf group-algebras and group-coalgebras are compared with
 ``oracle_graded_axiom_check`` in the same way, on a sample of the entries of
-the larger inputs.
+the larger inputs; there the verdict (``ok`` and the names of the failures),
+read before the rows, must also agree with the oracle, and reading the rows
+twice must give the same rows.
 """
 
 from dataclasses import replace
@@ -175,10 +177,16 @@ def test_graded_report_equals_oracle_on_tampers(name, form):
     assert checker(h).ok
     mismatches, failing = [], 0
     for label, tampered in graded_tampers(h, nonzero_stride, zero_stride):
-        got = report_triples(checker(tampered))
+        rep = checker(tampered)
+        # The verdict is read first, before any row is built.
+        verdict = rep.ok, [c.name for c in rep.failures]
+        rows = rep.checks
+        got = report_triples(rep)
         want = oracle_graded_axiom_check(tampered)
         failing += not all(passed for _, passed, _ in got)
-        if got != want:
-            mismatches.append((label, got, want))
+        want_verdict = (all(passed for _, passed, _ in want),
+                        [name for name, passed, _ in want if not passed])
+        if got != want or verdict != want_verdict or rep.checks != rows:
+            mismatches.append((label, verdict, got, want))
     assert not mismatches, mismatches[:3]
     assert failing > 0

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 
 import pytest
@@ -12,7 +13,7 @@ from hopflab import cli
 from hopflab.cli import main
 from hopflab.errors import InvariantViolation
 from hopflab.fields import FieldSpec
-from hopflab.serialize import MAX_MAP_ENTRIES, dumps, load
+from hopflab.serialize import MAX_MAP_SIDE, dumps, load
 from hopflab.turaev import cyclic_group, dagger
 from hopflab.lie import commutator_lie
 from hopflab.zoo import (
@@ -212,8 +213,9 @@ class TestMalformedValues:
 
 
     # A (co)multiplication's list of columns is sized by the declared
-    # dimensions before any triple is read, so a map over ``MAX_MAP_ENTRIES``
-    # is bad input, named in the message, rather than a ``MemoryError``.
+    # dimensions before any triple is read, so a map with more than
+    # ``MAX_MAP_SIDE`` rows or columns is bad input, named in the message,
+    # rather than a ``MemoryError``.
 
     def test_huge_dim(self, tmp_path, capsys):
         data = json.loads(dumps(sweedler4(Q)))
@@ -229,10 +231,16 @@ class TestMalformedValues:
         assert "comult" in self._rejected(tmp_path, capsys, data, "group-michaelis")
 
     def test_map_entry_bound(self, tmp_path, capsys):
-        # exterior_super(8) has 2**8 basis vectors: its maps just fit.
-        assert (2 ** 8) ** 3 <= MAX_MAP_ENTRIES < (2 ** 8 + 1) ** 3
+        # kS6, which the zoo writes, has 720 basis vectors: a bracket on 720
+        # basis vectors, with its 720**2 columns, loads.  The first dimension
+        # whose square is over the bound is rejected.
         data = json.loads(dumps(commutator_lie(matrix_algebra(2, Q))))
-        data["dim"] = 2 ** 8 + 1
+        del data["basis_names"]
+        data["dim"] = 720
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data))
+        assert load(path).bracket.shape == (720, 720 ** 2)
+        data["dim"] = math.isqrt(MAX_MAP_SIDE) + 1
         assert "bracket" in self._rejected(tmp_path, capsys, data)
 
     # Names are lists of strings: a basis name that is not a string used to
