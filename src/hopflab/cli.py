@@ -74,7 +74,9 @@ def _load(path, kind=None):
         return load(path, kind)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise CliInputError(f"malformed input {path}: missing key {exc.args[0]!r}")
+    except (json.JSONDecodeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliInputError(f"malformed input {path}: {exc}")
 
 
@@ -93,7 +95,7 @@ def _checked(path: str, kind):
 
 def _check(args) -> int:
     rep = _checked(args.path, args.kind)
-    print(json.dumps(rep.to_json(), indent=2, sort_keys=True) if args.json else rep)
+    print(rep.json_text() if args.json else rep)
     return OK if rep.ok else MATH_FAIL
 
 

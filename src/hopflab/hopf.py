@@ -20,12 +20,13 @@ the bialgebra compatibility axiom, commutators and opposites then picks up a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .errors import InvalidStructureError, ShapeError
 from .fields import FieldSpec, same_field
-from .linalg import Echelon, Matrix, Parity, Subspace, solve, swap_map, tensor
+from .linalg import Matrix, Parity, Subspace, solve, swap_map, tensor
 from . import sparse
 from .report import VerificationReport, matrix_axiom
 
@@ -134,6 +135,12 @@ class BialgebraSC:
             self.field, self.dim, self.basis_names, self.comult, self.counit, self.parity
         )
 
+    @functools.cached_property
+    def kernel(self) -> sparse.Kernel:
+        """The sparse kernel of this carrier, one per object, so that what it
+        certifies about the multiplication is found once."""
+        return sparse.Kernel(self.field, self.dim, self.parity)
+
     @property
     def braiding(self) -> Matrix:
         """The (parity-aware) symmetry H (x) H -> H (x) H."""
@@ -173,11 +180,11 @@ class HopfAlgebraSC(BialgebraSC):
 # -- axiom checks ------------------------------------------------------------
 
 
-def _unital_associative(rep, names, mult, unit, a, dual) -> None:
+def _unital_associative(rep, k, names, mult, unit, a, dual) -> None:
     """Associativity and both unit laws of the sparse ``mult`` and ``unit`` on
-    the carrier of ``a``; with ``dual`` the same axioms of the coalgebra ``a``
-    whose transposes they are, reported on its matrices."""
-    k = sparse.Kernel(a.field, a.dim)
+    the carrier of ``a``, in the kernel ``k``; with ``dual`` the same axioms
+    of the coalgebra ``a`` whose transposes they are, reported on its
+    matrices."""
     lab1 = tensor_label(a.basis_names, 1)
     lab3 = tensor_label(a.basis_names, 3)
     assoc, left, right = names
@@ -194,14 +201,15 @@ _COALGEBRA = ("coassociativity", "counit.left", "counit.right")
 def check_algebra(a: AlgebraSC) -> VerificationReport:
     rep = VerificationReport("algebra")
     mult, unit = a.mult.columns, a.unit.columns[0]
-    _unital_associative(rep, _ALGEBRA, mult, unit, a, dual=False)
+    _unital_associative(rep, sparse.Kernel(a.field, a.dim), _ALGEBRA, mult, unit, a, dual=False)
     return rep
 
 
 def check_coalgebra(c: CoalgebraSC) -> VerificationReport:
     rep = VerificationReport("coalgebra")
     comult, counit = c.comult.transpose().columns, c.counit.transpose().columns[0]
-    _unital_associative(rep, _COALGEBRA, comult, counit, c, dual=True)
+    _unital_associative(rep, sparse.Kernel(c.field, c.dim), _COALGEBRA, comult, counit, c,
+                        dual=True)
     return rep
 
 
@@ -216,12 +224,15 @@ def read_sparse(b: BialgebraSC) -> tuple:
 
 def check_bialgebra(b: BialgebraSC, maps: Optional[tuple] = None) -> VerificationReport:
     """The algebra, coalgebra and compatibility axioms of ``b``; ``maps`` is
-    ``read_sparse(b)`` when the caller has already read it."""
+    ``read_sparse(b)`` when the caller has already read it.  The algebra and
+    compatibility axioms run in ``b.kernel``, the coalgebra axioms in a kernel
+    that does not keep the rows of Delta."""
     rep = VerificationReport("bialgebra")
     mult, comult, unit, counit, _ = maps or read_sparse(b)
-    _unital_associative(rep, _ALGEBRA, mult, unit, b, dual=False)
-    _unital_associative(rep, _COALGEBRA, b.comult.transpose().columns, counit, b, dual=True)
-    k = sparse.Kernel(b.field, b.dim, b.parity)
+    k = b.kernel
+    _unital_associative(rep, k, _ALGEBRA, mult, unit, b, dual=False)
+    _unital_associative(rep, sparse.Kernel(b.field, b.dim), _COALGEBRA,
+                        b.comult.transpose().columns, counit, b, dual=True)
     lab2 = tensor_label(b.basis_names, 2)
     matrix_axiom(rep, "compat.comult_mult", *k.comult_mult(mult, comult), lab2, lab2)
     matrix_axiom(rep, "compat.comult_unit", *k.comult_unit(comult, unit), lab2)
@@ -235,7 +246,7 @@ def check_hopf(h: HopfAlgebraSC) -> VerificationReport:
     maps = read_sparse(h)
     rep.merge(check_bialgebra(h, maps))
     mult, comult, unit, counit, s = maps
-    k = sparse.Kernel(h.field, h.dim)
+    k = h.kernel
     target = k.unit_counit(unit, counit)
     lab1 = tensor_label(h.basis_names, 1)
     matrix_axiom(rep, "antipode.left", k.antipode(mult, comult, s, left=True), target, lab1, lab1)
@@ -307,11 +318,15 @@ def left_integrals(h: HopfAlgebraSC, validate: bool = True) -> Subspace:
 
     Returned as a subspace of the dual (coordinates in the dual basis),
     computed as the nullspace of the linear system obtained by letting f
-    range over the dual basis.
+    range over the dual basis.  The f with f * t = f(1) t are closed under
+    the product of H^* (the algebra on the rows of Delta), so the rows of f
+    in its generating set are solved first, and
+    :meth:`~hopflab.sparse.Kernel.solutions` checks that against every row.
     """
     if validate:
         require_valid(h, check_hopf, "left_integrals input")
     n = h.dim
+    k = sparse.Kernel(h.field, n)
     # Row (i, j): sum_l Delta[(i,l),j] t_l - unit_i t_j = 0.
     rows: list = [{} for _ in range(n * n)]
     for j, delta in enumerate(h.comult.columns):
@@ -321,7 +336,8 @@ def left_integrals(h: HopfAlgebraSC, validate: bool = True) -> Subspace:
     for i, u in h.unit.columns[0].items():
         for j in range(n):
             rows[i * n + j][j] = rows[i * n + j].get(j, 0) - u
-    return Echelon(h.field, n, rows).kernel()
+    gens = k.generators(h.comult.transpose().columns)
+    return k.solutions(rows, [s * n + j for s in gens for j in range(n)])
 
 
 def solve_antipode(b: BialgebraSC) -> Optional[Matrix]:

@@ -42,6 +42,8 @@ def parity_to_json(parity: Parity) -> list:
 
 def parity_from_json(data: Sequence[str]) -> Parity:
     table = {"even": EVEN, "odd": ODD}
+    if any(s not in table for s in data):
+        raise ValueError(f"parity entries must be 'even' or 'odd', got {list(data)!r}")
     return tuple(table[s] for s in data)
 
 

@@ -103,19 +103,36 @@ def restricted_bracket(h: AlgebraSC, space: Subspace, where: str) -> LieAlgebraS
 
 
 def primitives(h: HopfAlgebraSC, validate: bool = True) -> PrimitiveSpace:
-    """The space of x with Delta x = 1 (x) x + x (x) 1, as a Lie algebra."""
+    """The space of x with Delta x = 1 (x) x + x (x) 1, as a Lie algebra.
+
+    Read on the algebra H^* on the rows of Delta, x is primitive exactly when
+    it is a derivation x(ab) = x(a) b(1) + a(1) x(b) (M. E. Sweedler, *Hopf
+    Algebras*, 1969).  The b with that for every a are closed under the
+    product, so the rows (a, s) with s in the generating set of H^* are
+    solved first, and :meth:`~hopflab.sparse.Kernel.solutions` checks that
+    against every row.
+    """
     if validate:
         require_valid(h, check_hopf, "primitives input")
-    f, n = h.field, h.dim
-    # Row (a, b) of Delta - 1 (x) id - id (x) 1, from copies of the rows of Delta.
-    system = [dict(row) for row in h.comult.transpose().columns]
-    for a, u in h.unit.columns[0].items():
-        for j in range(n):
-            for row in (system[a * n + j], system[j * n + a]):
-                row[j] = row.get(j, 0) - u
-    space = Echelon(f, n, system).kernel()
+    space = _primitive_space(h)
     lie = restricted_bracket(h, space, "primitives")
     return PrimitiveSpace(parent=h, space=space, lie=lie)
+
+
+def _primitive_space(h: HopfAlgebraSC) -> Subspace:
+    """The solutions of Delta x = 1 (x) x + x (x) 1; the n^2 rows of the system
+    are gone once it returns."""
+    f, n = h.field, h.dim
+    k = sparse.Kernel(f, n)
+    rows = h.comult.transpose().columns
+    # Row (a, b) of Delta - 1 (x) id - id (x) 1: the rows of Delta, each row
+    # that the unit changes copied first.
+    system = list(rows)
+    for a, u in h.unit.columns[0].items():
+        for j in range(n):
+            for r in (a * n + j, j * n + a):
+                system[r] = {**system[r], j: system[r].get(j, 0) - u}
+    return k.solutions(system, [a * n + s for a in range(n) for s in k.generators(rows)])
 
 
 def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSpace:
@@ -123,12 +140,16 @@ def indecomposables(h: HopfAlgebraSC, validate: bool = True) -> IndecomposableSp
     if validate:
         require_valid(h, check_hopf, "indecomposables input")
     f, n = h.field, h.dim
-    k = sparse.Kernel(f, n, h.parity)
+    k = h.kernel  # holds what check_hopf(h) certified
     mult = h.mult.columns
     ker_eps = nullspace(h.counit)
     kv = ker_eps.vectors
-    # The products of basis pairs span (ker e)^2.
-    ker_eps_sq = Echelon(f, n, (k.product(mult, a, b) for a in kv for b in kv)).subspace()
+    # (ker e)^2 = I I for I = ker e.  When H is associative and e
+    # multiplicative (both certified by ``multiplicative``), I is an ideal and
+    # I = S' + H S' gives I I = I S'; otherwise all basis pairs span it.
+    counit = h.counit.transpose().columns[0]
+    right = k.ideal_generators(mult, kv) if k.multiplicative(mult, counit) else kv
+    ker_eps_sq = Echelon(f, n, (k.product(mult, a, b) for a in kv for b in right)).subspace()
     if not ker_eps_sq.is_subspace_of(ker_eps):
         raise InvariantViolation("(ker e)^2 not contained in ker e")
     # pi(x) = [x - e(x) 1] factors through H / ((ker e)^2 + k.1); adding the

@@ -9,12 +9,15 @@ over a group of order 24, nearly all passing.  Each family of graded axioms
 is one :class:`AxiomFamily`, which holds only the rows of the blocks where
 the sides differ.  ``ok`` and ``failures`` read those; ``checks``,
 ``to_json``, ``__str__`` and ``merge`` expand every row, in order.
+``json_text`` writes ``to_json`` as indented JSON, with the passing rows of a
+family filled into a template rather than built.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -36,6 +39,24 @@ class AxiomCheck:
 
 def _label(block: Tuple[str, ...]) -> str:
     return f"[{','.join(block)}]" if block else ""
+
+
+# A row of ``json.dumps(report.to_json(), indent=2, sort_keys=True)``: the
+# text before and after its name, for a row with no witness.
+_ROW_HEAD = '    {\n      "elapsed_s": %r,\n      "name": "'
+_ROW_TAIL = {True: '",\n      "passed": true\n    }', False: '",\n      "passed": false\n    }'}
+
+
+def _escaped(text: str) -> str:
+    """``text`` as the inside of a JSON string literal."""
+    return json.dumps(text)[1:-1]
+
+
+def _row_json(c: AxiomCheck) -> str:
+    """The row ``c`` as ``json.dumps`` writes it, indented, inside a report."""
+    if c.witness is None:
+        return _ROW_HEAD % c.elapsed_s + _escaped(c.name) + _ROW_TAIL[c.passed]
+    return "    " + json.dumps(c.to_json(), indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 class AxiomFamily:
@@ -69,6 +90,23 @@ class AxiomFamily:
     def recorded(self) -> List[AxiomCheck]:
         """The rows recorded through ``record``, in row order."""
         return [self.differing[pos] for pos in sorted(self.differing)]
+
+    def rows_json(self) -> Iterator[str]:
+        """The text of ``rows()`` as :func:`_row_json` writes each row; a
+        passing row is filled into a template and never built."""
+        names = [_escaped(name) for name in self.names]
+        blocks = itertools.product([_escaped(g) for g in self.elements], repeat=self.arity)
+        zero, tail = _ROW_HEAD % 0.0, _ROW_TAIL[True]
+        pos = 0
+        for block in blocks:
+            label = _label(block)
+            for name in names:
+                row = self.differing.get(pos)
+                if row is not None:
+                    yield _row_json(row)
+                else:
+                    yield (_ROW_HEAD % self.elapsed_s if pos == 0 else zero) + name + label + tail
+                pos += 1
 
     def rows(self) -> List[AxiomCheck]:
         out = [AxiomCheck(name + _label(block), True)
@@ -114,6 +152,16 @@ class VerificationReport:
             "ok": self.ok,
             "checks": [c.to_json() for c in self.checks],
         }
+
+    def json_text(self) -> str:
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``, written one
+        row at a time (the C encoder does not indent)."""
+        rows = ",\n".join(itertools.chain.from_iterable(
+            part.rows_json() if isinstance(part, AxiomFamily) else (_row_json(part),)
+            for part in self.parts))
+        checks = f"[\n{rows}\n  ]" if rows else "[]"
+        return (f'{{\n  "checks": {checks},\n  "object_kind": {json.dumps(self.object_kind)},'
+                f'\n  "ok": {json.dumps(self.ok)}\n}}')
 
     def __str__(self) -> str:
         lines = [f"{self.object_kind}: {'all axioms pass' if self.ok else 'AXIOM FAILURE'}"]

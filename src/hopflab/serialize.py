@@ -308,7 +308,14 @@ def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
     graded, point = cls._MAPS
     group = group_from_json(data["group"])
     comps = data["components"]
-    dims = [_read(c["dim"], "component dim") for c in comps]
+
+    def key(g: int, name: str):
+        """The value at ``name`` of component ``g``, which must have one."""
+        if name not in comps[g]:
+            raise ValueError(f"component {g}: missing key {name!r}")
+        return comps[g][name]
+
+    dims = [_read(key(g, "dim"), "component dim") for g in range(len(comps))]
     if len(dims) != group.order:
         raise ValueError(f"{len(dims)} components for a group of order {group.order}")
     elements = group.elements()
@@ -316,9 +323,9 @@ def _turaev_from_json(field: FieldSpec, data: dict, kind: str):
         group,
         tuple(
             part(field=field, dim=d,
-                 basis_names=_read(c["basis_names"], "component basis_names", str),
-                 **{name: _map_from_json(field, name, c[name], d, d, d) for name in maps})
-            for c, d in zip(comps, dims)
+                 basis_names=_read(key(g, "basis_names"), "component basis_names", str),
+                 **{name: _map_from_json(field, name, key(g, name), d, d, d) for name in maps})
+            for g, d in enumerate(dims)
         ),
         tuple(
             tuple(

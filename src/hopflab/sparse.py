@@ -12,12 +12,18 @@ their ``(row, col)`` position under the Kronecker index convention of
 :mod:`hopflab.linalg`.  Every entry comes from one basis tuple, so no
 Kronecker product or other dense intermediate is built and the cost follows
 the number of nonzero structure constants.  A side is the whole matrix, with
-one exception: associativity is first certified from a generating set
-(Light's test, :meth:`Kernel.associativity`), and after a certified pass both
-of its sides hold no entries.  Either way the two sides are equal exactly
-when the axiom holds, so :mod:`hopflab.turaev` reads each graded axiom off
-the entries where the sides of an axiom of the total Hopf algebra differ, as
-one block of them.
+three exceptions: associativity, Delta(xy) = Delta(x)Delta(y) and e(xy) =
+e(x)e(y) are first certified from a generating set S of the algebra
+(:meth:`Kernel.certified`), and after a certified pass both of their sides
+hold no entries.  Either way the two sides are equal exactly when the axiom
+holds, so :mod:`hopflab.turaev` reads each graded axiom off the entries where
+the sides of an axiom of the total Hopf algebra differ, as one block of them.
+
+The certificates rest on one fact: if the y that satisfy a condition on
+(x, y) for every x form a subspace closed under the product, the pairs (x, s)
+with s in S decide it.  Besides the three axioms, the primitivity and
+integral systems, (ker e)^2 and the degreewise product rule are read off S
+this way, each falling back to all pairs when its certificate fails.
 
 Coalgebra axioms are the transposes of algebra axioms: a coalgebra is checked
 by running the algebra axioms on the rows of its comultiplication (the
@@ -35,14 +41,15 @@ which also holds the span of :meth:`Kernel.generators`.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .fields import FieldSpec, Scalar
-from .linalg import Echelon, Parity, Vector, combine, finish
+from .linalg import Echelon, Parity, Subspace, Vector, combine, finish
 
 Columns = Sequence[Vector]  # one sparse vector per matrix column
 Entries = Dict[Tuple[int, int], Scalar]  # (row, col) -> nonzero entry
 Side = Callable[[], Entries]
+T = TypeVar("T")
 
 
 def zero() -> Entries:
@@ -57,6 +64,14 @@ class Kernel:
         self.field, self.p = field, field.characteristic
         self.n = n
         self.odd = parity if parity is not None else (0,) * n
+        self._found: Dict[Tuple[str, int], tuple] = {}  # (what, id(m)) -> (m, found)
+
+    def _once(self, what: str, m: Columns, find: Callable[[], T]) -> T:
+        """``find()``, run once per ``what`` and map ``m`` (held, so its id stays unique)."""
+        key = (what, id(m))
+        if key not in self._found:
+            self._found[key] = (m, find())
+        return self._found[key][1]
 
     def sign(self, a: int, b: int) -> int:
         """Koszul sign of moving e_a past e_b."""
@@ -118,58 +133,111 @@ class Kernel:
         """The identity matrix, as a side."""
         return self.side(lambda i: {i: 1}, self.n)
 
-    # -- algebra axioms ----------------------------------------------------------
+    # -- generating-set certificates ---------------------------------------------
 
     def generators(self, m: Columns) -> List[int]:
         """Basis indices S whose left-normed products under ``m`` span the carrier,
         chosen greedily in basis order: each index not in the span of the
-        products of those before it."""
+        products of those before it.  Found once per ``m``."""
+        def search() -> List[int]:
+            span, gens = Echelon(self.field, self.n), []
+            for t in range(self.n):
+                if span.dim == self.n:
+                    break
+                if not span.reduce({t: 1}):
+                    continue
+                gens.append(t)
+                queue = [{t: 1}, *(self.product(m, w, {t: 1}) for w in span.rows.values())]
+                while queue and span.dim < self.n:
+                    if v := span.insert(queue.pop()):
+                        queue.extend(self.product(m, v, {s: 1}) for s in gens)
+            return gens
+
+        return self._once("generators", m, search)
+
+    def associative(self, m: Columns) -> bool:
+        """Whether Light's test certifies ``m`` associative (A. H. Clifford and
+        G. B. Preston, *The Algebraic Theory of Semigroups* I, 1961), run once
+        per ``m``.  The y with (xy)z = x(yz) for all basis x, z form a subspace
+        closed under ``m``, so the associators of e_i and e_s, s in the
+        :meth:`generators`, decide the axiom.  They run over the nonzero
+        products only."""
+        def light() -> bool:
+            n = self.n
+            # The nonzero products (l, e_k e_l) of each left factor e_k.
+            by_left = [[(l, col) for l in range(n) if (col := m[k * n + l])] for k in range(n)]
+            return not any(self._associator(m, by_left, i, s)
+                           for s in self.generators(m) for i in range(n))
+
+        return self._once("associative", m, light)
+
+    def parity_even(self, m: Columns) -> bool:
+        """Whether every e_i e_j has parity |i| + |j| (always so without parities)."""
+        n, odd = self.n, self.odd
+        return not any(odd) or all(odd[k] == odd[ij // n] ^ odd[ij % n]
+                                   for ij, col in enumerate(m) for k in col)
+
+    def decided(self, m: Columns, lhs: Callable[[int], Vector], rhs: Callable[[int], Vector]) -> bool:
+        """Whether columns ``lhs(c) == rhs(c)`` for every c = (i, j) is certified
+        from the columns (i, s), s in the :meth:`generators` of ``m``.  The y
+        with the equation at (x, y) for every x must form a subspace closed
+        under an associative product; the certificate also needs ``m``
+        parity-even, since only then is the signed product on H (x) H
+        associative."""
+        n = self.n
+        return (self.associative(m) and self.parity_even(m) and all(
+            lhs(i * n + s) == rhs(i * n + s) for s in self.generators(m) for i in range(n)))
+
+    def certified(self, full: Tuple[Side, Side], passed: Callable[[], bool]) -> Tuple[Side, Side]:
+        """An axiom's sides: both empty when ``passed()`` (run at most once)
+        certifies it, otherwise the whole sides ``full``."""
+        once = functools.cache(passed)
+        return tuple((lambda side=side: {} if once() else side()) for side in full)
+
+    def solutions(self, rows: Sequence[Vector], keep: Sequence[int]) -> Subspace:
+        """The canonical space {x : r . x = 0 for every r in ``rows``}, solved from
+        the rows ``keep`` when each basis vector of their solution satisfies
+        every row, which assumes nothing about the rows, else from all rows."""
+        space = Echelon(self.field, self.n, (rows[r] for r in keep)).kernel()
+        basis = space.vectors
+        if basis and len(keep) < len(rows):
+            dot = lambda row, v: self.finish({0: sum(x * v.get(k, 0) for k, x in row.items())})
+            if any(dot(row, v) for row in rows if row for v in basis):
+                return Echelon(self.field, self.n, rows).kernel()
+        return space
+
+    def ideal_generators(self, m: Columns, vectors: Iterable[Vector]) -> List[Vector]:
+        """Members S' of ``vectors``, greedily in order, such that S' and the
+        e_h s, s in S', span them all: if they span a left ideal I, I = S' + H S'."""
         span, gens = Echelon(self.field, self.n), []
-        for t in range(self.n):
-            if span.dim == self.n:
-                break
-            if not span.reduce({t: 1}):
-                continue
-            gens.append(t)
-            queue = [{t: 1}, *(self.product(m, w, {t: 1}) for w in span.rows.values())]
-            while queue and span.dim < self.n:
-                if v := span.insert(queue.pop()):
-                    queue.extend(self.product(m, v, {s: 1}) for s in gens)
+        for v in vectors:
+            if span.reduce(v):
+                gens.append(v)
+                span.insert(v)
+                for h in range(self.n):
+                    span.insert(self.product(m, {h: 1}, v))
         return gens
 
-    def associativity(self, m: Columns) -> Tuple[Side, Side]:
-        """m (m (x) id) against m (id (x) m); column (i, j, l) is e_i e_j e_l.
+    # -- algebra axioms ----------------------------------------------------------
 
-        The sides first run Light's test (A. H. Clifford and G. B. Preston, *The
-        Algebraic Theory of Semigroups* I, 1961).  The middle factors y with
-        (xy)z = x(yz) for all basis x, z form a subspace closed under ``m``,
-        even when ``m`` is not associative.  So if it contains the
-        :meth:`generators` S, whose products span the carrier, the axiom
-        holds: the columns (i, s, l) with s in S certify it.  They are
-        compared n at a time, as the associator of e_i and e_s, so no side is
-        built on a pass.  After a certified pass both sides are empty, the
-        zero matrix; otherwise each is the whole matrix, and the sides differ
-        exactly where the axiom fails.
-        """
+    def associativity(self, m: Columns) -> Tuple[Side, Side]:
+        """m (m (x) id) against m (id (x) m); column (i, j, l) is e_i e_j e_l,
+        :meth:`certified` by :meth:`associative`."""
         n = self.n
         full = (self.side(lambda c: self.product(m, m[c // n], {c % n: 1}), n ** 3),
                 self.side(lambda c: self.product(m, {c // (n * n): 1}, m[c % (n * n)]), n ** 3))
+        return self.certified(full, lambda: self.associative(m))
 
-        @functools.cache
-        def certified() -> bool:
-            return not any(self._associator(m, i, s) for s in self.generators(m) for i in range(n))
-
-        return tuple((lambda side=side: {} if certified() else side()) for side in full)
-
-    def _associator(self, m: Columns, i: int, j: int) -> Dict[Tuple[int, int], Scalar]:
-        """The nonzero entries (r, l) of (e_i e_j) e_l - e_i (e_j e_l), over all l."""
+    def _associator(self, m: Columns, by_left: list, i: int, j: int) -> Dict[Tuple[int, int], Scalar]:
+        """The nonzero entries (r, l) of (e_i e_j) e_l - e_i (e_j e_l), over all
+        l; ``by_left[k]`` lists the nonzero products e_k e_l."""
         n, acc = self.n, {}
         for k, a in m[i * n + j].items():
-            for l in range(n):
-                for r, c in m[k * n + l].items():
+            for l, col in by_left[k]:
+                for r, c in col.items():
                     acc[r, l] = acc.get((r, l), 0) + a * c
-        for l in range(n):
-            for k, b in m[j * n + l].items():
+        for l, col in by_left[j]:
+            for k, b in col.items():
                 for r, c in m[i * n + k].items():
                     acc[r, l] = acc.get((r, l), 0) - b * c
         return self.finish(acc)
@@ -188,9 +256,13 @@ class Kernel:
         """Delta m against (m (x) m)(id (x) c (x) id)(Delta (x) Delta); column (i, j).
 
         The right side multiplies Delta(e_i) by Delta(e_j) in H (x) H, where
-        (x (x) y)(p (x) q) = sign(y, p) xp (x) yq.
+        (x (x) y)(p (x) q) = sign(y, p) xp (x) yq.  :meth:`decided` from the
+        columns (i, s): Delta(x(yz)) = Delta(xy)Delta(z) = Delta(x)Delta(yz).
         """
         n = self.n
+
+        def lhs_column(ij: int) -> Vector:
+            return self.apply(d, m[ij])
 
         def rhs_column(ij: int) -> Vector:
             i, j = divmod(ij, n)
@@ -206,19 +278,31 @@ class Kernel:
                             acc[s * n + t] = acc.get(s * n + t, 0) + ab * c * e
             return self.finish(acc)
 
-        return self.side(lambda ij: self.apply(d, m[ij]), n * n), self.side(rhs_column, n * n)
+        return self.certified((self.side(lhs_column, n * n), self.side(rhs_column, n * n)),
+                              lambda: self.decided(m, lhs_column, rhs_column))
 
     def comult_unit(self, d: Columns, unit: Vector) -> Tuple[Side, Side]:
         """Delta u against u (x) u."""
         return (self.side(lambda _: self.apply(d, unit), 1),
                 self.side(lambda _: self.outer(unit, unit), 1))
 
-    def counit_mult(self, m: Columns, counit: Vector) -> Tuple[Side, Side]:
-        """e m against e (x) e; column (i, j)."""
+    def _counit_columns(self, m: Columns, counit: Vector) -> Tuple[Callable, Callable]:
+        """Column (i, j) of e m and of e (x) e."""
         n, eps = self.n, counit.get
-        lhs = lambda ij: self.finish({0: sum(eps(k, 0) * c for k, c in m[ij].items())})
-        rhs = lambda ij: self.finish({0: eps(ij // n, 0) * eps(ij % n, 0)})
-        return self.side(lhs, n * n), self.side(rhs, n * n)
+        return (lambda ij: self.finish({0: sum(eps(k, 0) * c for k, c in m[ij].items())}),
+                lambda ij: self.finish({0: eps(ij // n, 0) * eps(ij % n, 0)}))
+
+    def multiplicative(self, m: Columns, counit: Vector) -> bool:
+        """Whether e(xy) = e(x)e(y) is :meth:`decided` from the columns (i, s)."""
+        return self.decided(m, *self._counit_columns(m, counit))
+
+    def counit_mult(self, m: Columns, counit: Vector) -> Tuple[Side, Side]:
+        """e m against e (x) e; column (i, j), :meth:`certified` by
+        :meth:`multiplicative`."""
+        n2 = self.n * self.n
+        lhs, rhs = self._counit_columns(m, counit)
+        return self.certified((self.side(lhs, n2), self.side(rhs, n2)),
+                              lambda: self.multiplicative(m, counit))
 
     def counit_unit(self, unit: Vector, counit: Vector) -> Tuple[Side, Side]:
         """e u against 1."""

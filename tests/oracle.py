@@ -161,6 +161,25 @@ def oracle_indecomposables(h):
     return {"ker": ker, "ker_sq": ker_sq, "kernel": kernel, "free": free, "pi": pi}
 
 
+def oracle_product_rule(h):
+    """Whether pi(x y) = pi(x) e(y) + e(x) pi(y) holds on every basis pair of
+    ``h``, with the projection pi of ``oracle_indecomposables``."""
+    n = h.dim
+    p = h.field.characteristic
+    pi = oracle_indecomposables(h)["pi"]
+    mult_rows = h.mult.rows_list()
+    eps = h.counit.rows_list()[0]
+    basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    images = [pi(v) for v in basis]
+    for a in range(n):
+        for b in range(n):
+            lhs = pi(_product_vector(mult_rows, n, p, basis[a], basis[b]))
+            rhs = [_norm(x * eps[b] + eps[a] * y, p) for x, y in zip(images[a], images[b])]
+            if lhs != rhs:
+                return False
+    return True
+
+
 # -- graded solvers -------------------------------------------------------------
 
 

@@ -190,6 +190,23 @@ class TestMalformedValues:
         data["antipodes"]["1"].update(rows=0, cols=10 ** 12, entries=[])
         assert "matrix shape" in self._rejected(tmp_path, capsys, data)
 
+    # A missing key is named, and in a turaev/1 file so is its component.
+
+    def test_missing_mult(self, tmp_path, capsys):
+        data = json.loads(dumps(sweedler4(Q)))
+        del data["mult"]
+        assert "missing key 'mult'" in self._rejected(tmp_path, capsys, data)
+
+    def test_component_missing_comult(self, tmp_path, capsys):
+        data = json.loads(dumps(diagonal_group_algebra(cyclic_group(3), F3)))
+        del data["components"][1]["comult"]
+        assert "component 1: missing key 'comult'" in self._rejected(tmp_path, capsys, data)
+
+    def test_unknown_parity_is_not_a_missing_key(self, tmp_path, capsys):
+        data = json.loads(dumps(exterior_super(2)))
+        data["parity"][1] = "odd2"
+        assert "parity entries must be 'even' or 'odd'" in self._rejected(tmp_path, capsys, data)
+
     def test_field_characteristic_string(self, tmp_path, capsys):
         data = json.loads(dumps(truncated_poly(3)))
         data["field"]["p"] = "3"
@@ -539,114 +556,114 @@ CLI_PINS = {
     'primitives sweedler4_q': (0, '8b09366134f82bb0', 'e3b0c44298fc1c14'),
     'primitives trunc3': (0, 'b7d81a0bb9dca08e', 'e3b0c44298fc1c14'),
     'primitives exterior2': (0, 'fe8bd4d21ccd69e2', 'e3b0c44298fc1c14'),
-    'primitives diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'primitives diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'primitives diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'primitives diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'primitives tampered': (1, 'e3b0c44298fc1c14', 'f668d90854e13f8b'),
     'primitives malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'primitives --json sweedler4_q': (0, 'e77730c3b46b1c70', 'e3b0c44298fc1c14'),
     'primitives --json trunc3': (0, 'f90f8ddc14ce5a50', 'e3b0c44298fc1c14'),
     'primitives --json exterior2': (0, '06b4db4402f0eb8b', 'e3b0c44298fc1c14'),
-    'primitives --json diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'primitives --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'primitives --json diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'primitives --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'primitives --json tampered': (1, 'e3b0c44298fc1c14', 'f668d90854e13f8b'),
     'primitives --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'indecomposables sweedler4_q': (0, 'd83e827f42571e95', 'e3b0c44298fc1c14'),
     'indecomposables trunc3': (0, 'd0f52a7f7d5b41d6', 'e3b0c44298fc1c14'),
     'indecomposables exterior2': (0, 'c195864d03de8461', 'e3b0c44298fc1c14'),
-    'indecomposables diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'indecomposables diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'indecomposables diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'indecomposables diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'indecomposables tampered': (1, 'e3b0c44298fc1c14', '85f15a81359f36ec'),
     'indecomposables malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'indecomposables --json sweedler4_q': (0, '397d101138fd0522', 'e3b0c44298fc1c14'),
     'indecomposables --json trunc3': (0, '1ad154f4ab45095a', 'e3b0c44298fc1c14'),
     'indecomposables --json exterior2': (0, '6bb1879314763399', 'e3b0c44298fc1c14'),
-    'indecomposables --json diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'indecomposables --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'indecomposables --json diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'indecomposables --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'indecomposables --json tampered': (1, 'e3b0c44298fc1c14', '85f15a81359f36ec'),
     'indecomposables --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'michaelis sweedler4_q': (0, '9b1e6736ac0aadd5', 'e3b0c44298fc1c14'),
     'michaelis trunc3': (0, '1f61628c10a22585', 'e3b0c44298fc1c14'),
     'michaelis exterior2': (0, '9b7441ebe548a128', 'e3b0c44298fc1c14'),
-    'michaelis diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'michaelis diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'michaelis diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'michaelis diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'michaelis tampered': (1, 'e3b0c44298fc1c14', '7097551ce26ce743'),
     'michaelis malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'michaelis --json sweedler4_q': (0, 'a44258261e23fd7b', 'e3b0c44298fc1c14'),
     'michaelis --json trunc3': (0, '3350379a1f9118b6', 'e3b0c44298fc1c14'),
     'michaelis --json exterior2': (0, '6a8509adf26f51ea', 'e3b0c44298fc1c14'),
-    'michaelis --json diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'michaelis --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'michaelis --json diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'michaelis --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'michaelis --json tampered': (1, 'e3b0c44298fc1c14', '7097551ce26ce743'),
     'michaelis --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'integrals sweedler4_q': (0, 'b1889b146233b448', 'e3b0c44298fc1c14'),
     'integrals trunc3': (0, 'a1a5dd85c8f8a7a2', 'e3b0c44298fc1c14'),
     'integrals exterior2': (0, 'f9de44a4cee8f0ab', 'e3b0c44298fc1c14'),
-    'integrals diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'integrals diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'integrals diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'integrals diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'integrals tampered': (1, 'e3b0c44298fc1c14', '53b95520776574a7'),
     'integrals malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'integrals --json sweedler4_q': (0, 'e54a520f5b5bf2d1', 'e3b0c44298fc1c14'),
     'integrals --json trunc3': (0, '64ce72b56c4de2e9', 'e3b0c44298fc1c14'),
     'integrals --json exterior2': (0, 'e54a520f5b5bf2d1', 'e3b0c44298fc1c14'),
-    'integrals --json diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'integrals --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'integrals --json diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'integrals --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'integrals --json tampered': (1, 'e3b0c44298fc1c14', '53b95520776574a7'),
     'integrals --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'gprimitives --g g sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'gprimitives --g g trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'gprimitives --g g exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
-    'gprimitives --g g diag_z3': (2, 'e3b0c44298fc1c14', '784ae3c6d2aef760'),
+    'gprimitives --g g sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'gprimitives --g g trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'gprimitives --g g exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
+    'gprimitives --g g diag_z3': (2, 'e3b0c44298fc1c14', '07181c21bd00d6db'),
     'gprimitives --g g diag_z3_dagger': (0, '540979f1f6ccec58', 'e3b0c44298fc1c14'),
-    'gprimitives --g g tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'gprimitives --g g tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'gprimitives --g g malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'gprimitives --g g --json sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'gprimitives --g g --json trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'gprimitives --g g --json exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
-    'gprimitives --g g --json diag_z3': (2, 'e3b0c44298fc1c14', '784ae3c6d2aef760'),
+    'gprimitives --g g --json sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'gprimitives --g g --json trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'gprimitives --g g --json exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
+    'gprimitives --g g --json diag_z3': (2, 'e3b0c44298fc1c14', '07181c21bd00d6db'),
     'gprimitives --g g --json diag_z3_dagger': (0, '35476fb28adaa9d0', 'e3b0c44298fc1c14'),
-    'gprimitives --g g --json tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'gprimitives --g g --json tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'gprimitives --g g --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'gindecomposables sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'gindecomposables trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'gindecomposables exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'gindecomposables sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'gindecomposables trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'gindecomposables exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'gindecomposables diag_z3': (0, '14ac3282d4e2bb18', 'e3b0c44298fc1c14'),
-    'gindecomposables diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'gindecomposables tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'gindecomposables diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'gindecomposables tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'gindecomposables malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'gindecomposables --json sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'gindecomposables --json trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'gindecomposables --json exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'gindecomposables --json sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'gindecomposables --json trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'gindecomposables --json exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'gindecomposables --json diag_z3': (0, '0e3e6a0b16a994dc', 'e3b0c44298fc1c14'),
-    'gindecomposables --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'gindecomposables --json tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'gindecomposables --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'gindecomposables --json tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'gindecomposables --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'group-michaelis sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'group-michaelis trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'group-michaelis exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'group-michaelis sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'group-michaelis trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'group-michaelis exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'group-michaelis diag_z3': (0, 'b12256b4dbadbcab', 'e3b0c44298fc1c14'),
-    'group-michaelis diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'group-michaelis tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'group-michaelis diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'group-michaelis tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'group-michaelis malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'group-michaelis --json sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'group-michaelis --json trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'group-michaelis --json exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'group-michaelis --json sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'group-michaelis --json trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'group-michaelis --json exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'group-michaelis --json diag_z3': (0, '235729d19a66ad23', 'e3b0c44298fc1c14'),
-    'group-michaelis --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'group-michaelis --json tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'group-michaelis --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'group-michaelis --json tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'group-michaelis --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'michtur1 sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'michtur1 trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'michtur1 exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'michtur1 sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'michtur1 trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'michtur1 exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'michtur1 diag_z3': (0, 'a52d44b71e7e99c2', 'e3b0c44298fc1c14'),
-    'michtur1 diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'michtur1 tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'michtur1 diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'michtur1 tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'michtur1 malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
-    'michtur1 --json sweedler4_q': (2, 'e3b0c44298fc1c14', '3cf3769c967e35c9'),
-    'michtur1 --json trunc3': (2, 'e3b0c44298fc1c14', '51cd0819ee539c81'),
-    'michtur1 --json exterior2': (2, 'e3b0c44298fc1c14', 'e5295d416034365b'),
+    'michtur1 --json sweedler4_q': (2, 'e3b0c44298fc1c14', '1cc835d02b9976d7'),
+    'michtur1 --json trunc3': (2, 'e3b0c44298fc1c14', '71d79b5d20cb3acb'),
+    'michtur1 --json exterior2': (2, 'e3b0c44298fc1c14', 'df9df0dcb1a1bce3'),
     'michtur1 --json diag_z3': (0, '1fdd9df042ee563e', 'e3b0c44298fc1c14'),
-    'michtur1 --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'f7f12e2e77a85469'),
-    'michtur1 --json tampered': (2, 'e3b0c44298fc1c14', '56f48da3b736f8fa'),
+    'michtur1 --json diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'cd1e9fd77defe787'),
+    'michtur1 --json tampered': (2, 'e3b0c44298fc1c14', '78337b49c6d75090'),
     'michtur1 --json malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'check sweedler4_q': (0, '5dee39bc07a3fcb9', 'e3b0c44298fc1c14'),
     'check trunc3': (0, '5dee39bc07a3fcb9', 'e3b0c44298fc1c14'),
@@ -665,8 +682,8 @@ CLI_PINS = {
     'dual sweedler4_q': (0, '0811cb604944d308', 'e3b0c44298fc1c14'),
     'dual trunc3': (0, 'cab202bb2b00129e', 'e3b0c44298fc1c14'),
     'dual exterior2': (0, 'e57b1bb57c5bb69c', 'e3b0c44298fc1c14'),
-    'dual diag_z3': (2, 'e3b0c44298fc1c14', '3f73b1a82aea546e'),
-    'dual diag_z3_dagger': (2, 'e3b0c44298fc1c14', 'fd4a03db5ce3033e'),
+    'dual diag_z3': (2, 'e3b0c44298fc1c14', 'e91e8431f6328323'),
+    'dual diag_z3_dagger': (2, 'e3b0c44298fc1c14', '7711c5f3b8c4323a'),
     'dual tampered': (1, 'e3b0c44298fc1c14', 'c68b5d9bdc7bbd81'),
     'dual malformed': (2, 'e3b0c44298fc1c14', 'd9391afe46a2353e'),
     'dagger sweedler4_q': (2, 'e3b0c44298fc1c14', '9e1bbcbb1b9baf0d'),
